@@ -4,7 +4,9 @@
 // (energy + force loss, full parameter gradient including the second-order
 // force term) for the scalar-tape oracle and the analytic fused kernels
 // (dp/fast_graph.hpp), across descriptor/fitting sizes from test-tiny up to
-// the paper's default architecture.
+// the paper's default architecture.  A tape step includes the frame's
+// neighbor-list build (the oracle takes frames only); an analytic step starts
+// from a prebuilt FrameGeometry, as training does.
 //
 // Emits BENCH_kernels.json:
 //   {"bench": "model_kernels",
@@ -49,7 +51,6 @@
 #include "dp/fast_graph.hpp"
 #include "dp/loss.hpp"
 #include "dp/model.hpp"
-#include "hpc/scratch.hpp"
 #include "hpc/thread_pool.hpp"
 #include "md/simulation.hpp"
 #include "nn/schedule.hpp"
@@ -121,17 +122,17 @@ double measure_fused(const dp::FastGraph& fast, std::size_t num_params,
       (targets.size() + fuse_frames - 1) / fuse_frames;
   std::vector<std::vector<double>> group_grads(num_groups);
   std::vector<double> losses(targets.size());
-  hpc::ThreadScratch<dp::FastWorkspace> workspaces;
   std::unique_ptr<hpc::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<hpc::ThreadPool>(threads);
 
   const auto run_group = [&](std::size_t g) {
+    thread_local dp::FastWorkspace workspace;  // the trainer's per-thread arena
     const std::size_t begin = g * fuse_frames;
     const std::size_t count = std::min(fuse_frames, targets.size() - begin);
     group_grads[g].resize(num_params);
     fast.loss_and_grad_fused(
         std::span<const dp::FrameTarget>(targets).subspan(begin, count),
-        weights, workspaces.local(), group_grads[g],
+        weights, workspace, group_grads[g],
         std::span<double>(losses).subspan(begin, count));
   };
   const auto sweep = [&] {
@@ -289,12 +290,9 @@ int main(int argc, char** argv) {
     input.fitting.neuron = config.fitting;
     const dp::DeepPotModel model(input, data.train.types(), 0.0, 7);
 
-    std::vector<dp::NeighborTopology> topologies;
     std::vector<dp::FrameGeometry> geometries(num_frames);
     for (std::size_t f = 0; f < num_frames; ++f) {
-      topologies.push_back(model.build_topology(data.train.frame(f)));
-      dp::build_frame_geometry(model, data.train.frame(f), topologies[f],
-                               geometries[f]);
+      dp::build_frame_geometry(model, data.train.frame(f), geometries[f]);
     }
 
     const dp::FastGraph fast(model);
@@ -305,8 +303,7 @@ int main(int argc, char** argv) {
     const auto tape_step = [&](std::size_t f) {
       const md::Frame& frame = data.train.frame(f);
       tape.reset();
-      const dp::DeepPotModel::FrameGraph graph =
-          model.build_graph(tape, frame, topologies[f]);
+      const dp::DeepPotModel::FrameGraph graph = model.build_graph(tape, frame);
       const ad::Var frame_loss =
           loss.build(tape, graph.energy, frame.energy, graph.forces,
                      frame.forces, frame.positions.size(), weights);
@@ -362,12 +359,9 @@ int main(int argc, char** argv) {
     input.descriptor.sel = matrix_config.sel;
     input.fitting.neuron = matrix_config.fitting;
     const dp::DeepPotModel model(input, data.train.types(), 0.0, 7);
-    std::vector<dp::NeighborTopology> topologies;
     std::vector<dp::FrameGeometry> geometries(num_frames);
     for (std::size_t f = 0; f < num_frames; ++f) {
-      topologies.push_back(model.build_topology(data.train.frame(f)));
-      dp::build_frame_geometry(model, data.train.frame(f), topologies[f],
-                               geometries[f]);
+      dp::build_frame_geometry(model, data.train.frame(f), geometries[f]);
     }
     const dp::FastGraph fast(model);
     // Replicate the frames round-robin so 8 workers see 8 fused groups.

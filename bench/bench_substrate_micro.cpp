@@ -1,6 +1,7 @@
 // Substrate micro-benchmarks: the kernels a real (non-surrogate) evaluation
-// spends its time in -- MD stepping for data generation, the DeepPot-SE
-// descriptor/energy, autodiff forces, and one full training step.  These
+// spends its time in -- MD stepping for data generation, whole-frame
+// DeepPot-SE evaluation (dp::Potential), an NNP MD step (dp::MdSession), and
+// one full training step.  These
 // support the paper's framing that the per-individual training dominates the
 // workflow cost (everything around it is negligible).
 #include <benchmark/benchmark.h>
@@ -8,10 +9,14 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "dp/fast_graph.hpp"
 #include "dp/loss.hpp"
-#include "nn/optimizer.hpp"
-#include "dp/trainer.hpp"
+#include "dp/md_session.hpp"
+#include "dp/potential.hpp"
+#include "md/integrator.hpp"
+#include "md/session.hpp"
 #include "md/simulation.hpp"
+#include "nn/optimizer.hpp"
 
 namespace {
 
@@ -46,7 +51,7 @@ struct Fixture {
 
 void print_context() {
   bench::print_header("Substrate micro-benchmarks",
-                      "MD stepping, descriptor, autodiff forces, training step");
+                      "MD stepping, Potential::evaluate, NNP MD step, training step");
   const auto& f = Fixture::instance();
   std::printf("system: %zu atoms, box %.2f A; model: embed {8,16} M2=4,"
               " fit {32,32}\n",
@@ -57,14 +62,12 @@ void BM_MdStep160Atoms(benchmark::State& state) {
   util::Rng rng(3);
   const md::SystemSpec spec = md::SystemSpec::paper_system();
   md::SystemState md_state = spec.create_initial_state(498.0, rng);
-  const md::ReferencePotential potential(8.5);
+  md::ReferenceSession session(md::ReferencePotential(8.5));
   const md::VelocityVerlet integrator(1.0);
-  const md::ForceProvider provider = [&](const md::SystemState& s) {
-    return potential.compute(s);
-  };
-  md::ForceEnergy current = provider(md_state);
+  std::vector<md::Vec3> forces(md_state.size());
+  session.compute(md_state, forces);
   for (auto _ : state) {
-    current = integrator.step(md_state, provider, current);
+    benchmark::DoNotOptimize(integrator.step(md_state, session, forces));
   }
 }
 BENCHMARK(BM_MdStep160Atoms);
@@ -80,49 +83,58 @@ void BM_NeighborList160Atoms(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborList160Atoms);
 
-void BM_ModelEnergyDoublePath(benchmark::State& state) {
+dp::DeepPotModel fixture_model() {
   const auto& f = Fixture::instance();
-  const dp::DeepPotModel model(f.config, f.data.train.types(),
-                               f.data.train.mean_energy_per_atom(), 5);
-  const md::Frame& frame = f.data.train.frame(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.energy(frame));
-  }
+  return dp::DeepPotModel(f.config, f.data.train.types(),
+                          f.data.train.mean_energy_per_atom(), 5);
 }
-BENCHMARK(BM_ModelEnergyDoublePath);
 
-void BM_ModelEnergyForcesAutodiff(benchmark::State& state) {
-  const auto& f = Fixture::instance();
-  const dp::DeepPotModel model(f.config, f.data.train.types(),
-                               f.data.train.mean_energy_per_atom(), 5);
-  const md::Frame& frame = f.data.train.frame(0);
+void BM_PotentialEvaluate(benchmark::State& state) {
+  const dp::Potential potential(fixture_model());
+  const md::Frame& frame = Fixture::instance().data.train.frame(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.energy_forces(frame));
+    benchmark::DoNotOptimize(potential.evaluate(frame));
   }
 }
-BENCHMARK(BM_ModelEnergyForcesAutodiff);
+BENCHMARK(BM_PotentialEvaluate);
+
+void BM_NnpMdSessionStep(benchmark::State& state) {
+  const auto& f = Fixture::instance();
+  const dp::Potential potential(fixture_model());
+  const auto session = potential.make_md_session();
+  util::Rng rng(6);
+  md::SystemState md_state =
+      md::SystemSpec::scaled_system(2).create_initial_state(498.0, rng);
+  md_state.types = f.data.train.types();
+  md_state.positions = f.data.train.frame(0).positions;
+  const md::VelocityVerlet integrator(0.5);
+  std::vector<md::Vec3> forces(md_state.size());
+  session->compute(md_state, forces);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(integrator.step(md_state, *session, forces));
+  }
+}
+BENCHMARK(BM_NnpMdSessionStep);
 
 void BM_FullTrainingStep(benchmark::State& state) {
-  // One Adam step including the double-backprop through the force loss.
+  // One Adam step on one frame's analytic loss gradient, including the
+  // force-loss second-order term (the trainer's kernel, unfused).
   const auto& f = Fixture::instance();
-  dp::DeepPotModel model(f.config, f.data.train.types(),
-                         f.data.train.mean_energy_per_atom(), 5);
+  dp::DeepPotModel model = fixture_model();
   const md::Frame& frame = f.data.train.frame(0);
+  dp::FrameGeometry geometry;
+  dp::build_frame_geometry(model, frame, geometry);
+  const dp::FastGraph fast(model);
+  dp::FastWorkspace workspace;
   const nn::ExponentialDecay schedule(0.001, 1e-4, 1000);
   const dp::DeepmdLoss loss(dp::LossConfig{}, schedule);
   const dp::LossWeights weights = loss.weights_at(0);
   std::vector<double> params = model.gather_params();
+  std::vector<double> grad(params.size());
   nn::Adam adam(params.size());
-  ad::Tape tape(1 << 20);
   for (auto _ : state) {
-    tape.reset();
-    const auto graph = model.build_graph(tape, frame);
-    const ad::Var frame_loss = loss.build(tape, graph.energy, frame.energy,
-                                          graph.forces, frame.forces,
-                                          frame.positions.size(), weights);
-    const auto grads = tape.gradient(frame_loss, graph.params);
-    std::vector<double> grad(params.size());
-    for (std::size_t p = 0; p < grad.size(); ++p) grad[p] = grads[p].value();
+    benchmark::DoNotOptimize(fast.loss_and_grad(geometry, frame.energy, frame.forces,
+                                                weights, workspace, grad));
     adam.step(params, grad, 1e-3);
     model.scatter_params(params);
   }

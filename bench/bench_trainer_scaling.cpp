@@ -4,15 +4,13 @@
 //
 // Emits BENCH_trainer.json:
 //   {"bench": "trainer_scaling", "hardware_concurrency": N,
-//    "steps": S, "atoms": A, "batch_size": B, "lcurve_identical": true,
-//    "backward_mode": "analytic", "tape_vs_analytic_speedup_1t": Z,
+//    "steps": S, "atoms": A, "batch_size": B, "fuse_frames": K,
+//    "lcurve_identical": true,
 //    "results": [{"threads": T, "steps_per_sec": X, "speedup": Y}, ...],
 //    "metrics": {"schema": "dpho.metrics.v1", ...}}
 //
-// The scaling rows use the default analytic fused kernels; one extra
-// single-thread run with backward_mode=tape records the tape-vs-analytic
-// speedup so the artifact shows both the thread scaling and what the
-// analytic engine bought over the scalar-tape oracle.
+// The tape-vs-analytic comparison lives in bench_model_kernels
+// (tape_steps_per_sec vs analytic_steps_per_sec per frame gradient).
 //
 // The `metrics` block is the process-wide obs registry (the same
 // dpho.metrics.v1 document `--metrics-out` runs write), so bench artifacts
@@ -74,8 +72,7 @@ bool validate_schema(const std::filesystem::path& path) {
   if (!doc.is_object()) return false;
   for (const char* key :
        {"bench", "hardware_concurrency", "steps", "atoms", "batch_size",
-        "fuse_frames", "lcurve_identical", "backward_mode",
-        "tape_vs_analytic_speedup_1t", "results", "metrics"}) {
+        "fuse_frames", "lcurve_identical", "results", "metrics"}) {
     if (!doc.contains(key)) {
       std::fprintf(stderr, "BENCH_trainer.json: missing key %s\n", key);
       return false;
@@ -98,11 +95,10 @@ bool validate_schema(const std::filesystem::path& path) {
                          " dpho.metrics.v1 document\n");
     return false;
   }
-  // The trainer's own instrumentation must have seen all five runs (four
-  // analytic scaling points plus the single-thread tape reference).
+  // The trainer's own instrumentation must have seen all four scaling runs.
   const util::Json& counters = doc.at("metrics").at("deterministic").at("counters");
-  if (counters.number_or("trainer.trainings_total", 0.0) != 5.0) {
-    std::fprintf(stderr, "BENCH_trainer.json: expected 5 instrumented"
+  if (counters.number_or("trainer.trainings_total", 0.0) != 4.0) {
+    std::fprintf(stderr, "BENCH_trainer.json: expected 4 instrumented"
                          " trainings in metrics block\n");
     return false;
   }
@@ -180,24 +176,6 @@ int main(int argc, char** argv) {
   std::printf("lcurve bit-identical across thread counts: %s\n",
               identical ? "yes" : "NO");
 
-  // Single-thread tape reference: same workload through the scalar-tape
-  // differentiation oracle, to record what the analytic kernels buy.
-  double tape_vs_analytic_speedup = 0.0;
-  {
-    dp::TrainerOptions options;
-    options.num_threads = 1;
-    options.backward_mode = dp::BackwardMode::kTape;
-    dp::Trainer trainer(input, data.train, data.validation, options);
-    const obs::ScopedTimer run_timer(obs::metrics(), "bench.run_seconds");
-    const dp::TrainResult result = trainer.train();
-    const double tape_steps_per_sec =
-        static_cast<double>(result.steps_completed) / result.wall_seconds;
-    tape_vs_analytic_speedup = serial_steps_per_sec / tape_steps_per_sec;
-    std::printf("  1 thread, tape oracle: %7.2f steps/s"
-                "  (analytic is %.1fx faster)\n",
-                tape_steps_per_sec, tape_vs_analytic_speedup);
-  }
-
   util::JsonObject doc;
   doc["bench"] = "trainer_scaling";
   doc["hardware_concurrency"] =
@@ -209,8 +187,6 @@ int main(int argc, char** argv) {
   // summation order), so the artifact records the value it ran with.
   doc["fuse_frames"] = dp::TrainerOptions{}.fuse_frames;
   doc["lcurve_identical"] = identical;
-  doc["backward_mode"] = dp::to_string(dp::BackwardMode::kAnalytic);
-  doc["tape_vs_analytic_speedup_1t"] = tape_vs_analytic_speedup;
   util::JsonArray results;
   for (const ScalingPoint& point : points) {
     util::JsonObject entry;

@@ -12,8 +12,10 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "dp/md_interface.hpp"
+#include "dp/md_session.hpp"
+#include "dp/potential.hpp"
 #include "dp/trainer.hpp"
+#include "md/integrator.hpp"
 #include "md/simulation.hpp"
 
 int main(int argc, char** argv) {
@@ -55,7 +57,17 @@ int main(int argc, char** argv) {
   md::SystemState state = sim.spec.create_initial_state(150.0, rng);
   state.positions = data.validation.frame(0).positions;  // equilibrated start
   const auto t0 = std::chrono::steady_clock::now();
-  const auto energies = dp::run_nnp_md(trainer.model(), state, 0.5, md_steps);
+  // A persistent session keeps the Verlet-skin neighbor skeleton and kernel
+  // workspace across steps; each step rewrites `forces` in place.
+  const auto session = dp::Potential::borrow(trainer.model()).make_md_session();
+  const md::VelocityVerlet integrator(0.5);
+  std::vector<md::Vec3> forces(state.size());
+  std::vector<double> energies;
+  energies.push_back(session->compute(state, forces) + md::kinetic_energy(state));
+  for (std::size_t step = 0; step < md_steps; ++step) {
+    energies.push_back(integrator.step(state, *session, forces) +
+                       md::kinetic_energy(state));
+  }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 

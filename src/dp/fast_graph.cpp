@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 
+#include "md/box.hpp"
+#include "md/neighbor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "util/error.hpp"
@@ -40,27 +42,37 @@ obs::Counter& pairs_counter() {
 }  // namespace
 
 void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
-                          const NeighborTopology& topology, FrameGeometry& out) {
+                          FrameGeometry& out) {
   const std::vector<md::Species>& types = model.types();
   const std::size_t n = types.size();
   if (frame.positions.size() != n) {
     throw util::ValueError("fast_graph: frame atom count does not match model");
   }
-  if (topology.entries.size() != n) {
-    throw util::ValueError("fast_graph: topology atom count does not match model");
-  }
   const double rcut = model.spec().descriptor.rcut;
+  // Rebuilt in place on every call, so a thread's steady state allocates
+  // nothing here.
+  thread_local md::NeighborList list;
+  list.build(md::Box(frame.box_length), frame.positions, rcut);
   out.num_atoms = n;
+
+  // Each pair's displacement is re-derived as (x_j + shift) - x_i from the
+  // image shift, not taken from the list: the tape oracle differentiates
+  // exactly this expression, and the rounding of the round trip is part of
+  // every recorded lcurve.
+  const auto displacement = [&](std::size_t i, const md::Neighbor& nb) {
+    const md::Vec3& xi = frame.positions[i];
+    const md::Vec3& xj = frame.positions[nb.index];
+    const md::Vec3 shift = nb.displacement - (xj - xi);
+    return (xj + shift) - xi;
+  };
 
   // Count pairs per embedding net, prefix-sum into offsets, then fill.  The
   // distance filter must match build_graph exactly (strict r < rcut).
   out.net_offsets.assign(kNets + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& entry : topology.entries[i]) {
-      const md::Vec3 d =
-          (frame.positions[entry.j] + entry.shift) - frame.positions[i];
-      if (md::norm(d) >= rcut) continue;
-      ++out.net_offsets[DeepPotModel::pair_index(types[i], types[entry.j]) + 1];
+    for (const md::Neighbor& nb : list.neighbors_of(i)) {
+      if (md::norm(displacement(i, nb)) >= rcut) continue;
+      ++out.net_offsets[DeepPotModel::pair_index(types[i], types[nb.index]) + 1];
     }
   }
   for (std::size_t net = 0; net < kNets; ++net) {
@@ -72,15 +84,14 @@ void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
   std::array<std::uint32_t, kNets> cursor;
   std::copy_n(out.net_offsets.begin(), kNets, cursor.begin());
   for (std::size_t i = 0; i < n; ++i) {
-    for (const auto& entry : topology.entries[i]) {
-      const md::Vec3 d =
-          (frame.positions[entry.j] + entry.shift) - frame.positions[i];
+    for (const md::Neighbor& nb : list.neighbors_of(i)) {
+      const md::Vec3 d = displacement(i, nb);
       const double r = md::norm(d);
       if (r >= rcut) continue;
-      const std::size_t net = DeepPotModel::pair_index(types[i], types[entry.j]);
+      const std::size_t net = DeepPotModel::pair_index(types[i], types[nb.index]);
       const std::uint32_t p = cursor[net]++;
       out.center[p] = static_cast<std::uint32_t>(i);
-      out.j[p] = static_cast<std::uint32_t>(entry.j);
+      out.j[p] = static_cast<std::uint32_t>(nb.index);
       out.r[p] = r;
       out.s[p] = switching.value(r);
       out.ds_dr[p] = switching.derivative(r);

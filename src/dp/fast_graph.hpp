@@ -7,7 +7,8 @@
 // heap allocations in steady state:
 //
 //   * energy and forces (F = -dE/dx) -- one batched forward plus one
-//     analytic reverse sweep (inference: dp_test, MD, validation RMSE);
+//     analytic reverse sweep (whole-frame inference through dp::Potential:
+//     dp_test, dp_serve, validation RMSE; MD runs dp::MdSession instead);
 //   * the full parameter gradient of the DeePMD loss, including the
 //     second-order force term dF/dtheta = -d2E/(dx dtheta), via
 //     forward-over-reverse: a tangent (dual-number) pass in the coordinate
@@ -28,8 +29,8 @@
 // accumulates the complete per-frame loss gradient and the reverse pass
 // never touches parameters (DESIGN.md section 13).
 //
-// The tape remains the differentiation oracle: TrainerOptions::backward_mode
-// selects between the two, and the parity test-suite holds them to agree.
+// The tape remains the test oracle: the parity test-suite and
+// bench_model_kernels hold FastGraph to agree with it.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +79,10 @@ struct FrameGeometry {
 
 /// Builds (into a reusable buffer) the geometry of `frame` under the model's
 /// cutoff, applying the same r < rcut filter as the model's graph build.
+/// Pairs come straight from an md::NeighborList CSR held per thread and
+/// rebuilt in place, so a warmed thread allocates nothing here.
 void build_frame_geometry(const DeepPotModel& model, const md::Frame& frame,
-                          const NeighborTopology& topology, FrameGeometry& out);
+                          FrameGeometry& out);
 
 /// One frame of a fused loss-gradient batch: its geometry plus the training
 /// labels.  The geometry pointer must outlive the call.

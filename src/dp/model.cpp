@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "dp/fast_graph.hpp"
 #include "md/box.hpp"
 #include "md/neighbor.hpp"
 #include "util/error.hpp"
@@ -49,22 +48,6 @@ DeepPotModel::DeepPotModel(const TrainInput& config, std::vector<md::Species> ty
     : DeepPotModel(ModelSpec::from_train_input(config), std::move(types),
                    energy_bias_per_atom, seed) {}
 
-const nn::Mlp& DeepPotModel::embedding(md::Species center, md::Species neighbor) const {
-  return embeddings_[pair_index(center, neighbor)];
-}
-
-nn::Mlp& DeepPotModel::embedding(md::Species center, md::Species neighbor) {
-  return embeddings_[pair_index(center, neighbor)];
-}
-
-const nn::Mlp& DeepPotModel::fitting(md::Species center) const {
-  return fittings_[static_cast<std::size_t>(center)];
-}
-
-nn::Mlp& DeepPotModel::fitting(md::Species center) {
-  return fittings_[static_cast<std::size_t>(center)];
-}
-
 std::vector<double> DeepPotModel::gather_params() const {
   std::vector<double> flat;
   flat.reserve(num_params_);
@@ -94,78 +77,14 @@ void DeepPotModel::scatter_params(std::span<const double> params) {
   }
 }
 
-NeighborTopology DeepPotModel::build_topology(const md::Frame& frame) const {
-  if (frame.positions.size() != types_.size()) {
-    throw util::ValueError("frame atom count does not match model");
-  }
-  const md::Box box(frame.box_length);
-  const md::NeighborList list(box, frame.positions, spec_.descriptor.rcut);
-  NeighborTopology topology;
-  topology.entries.resize(types_.size());
-  for (std::size_t i = 0; i < types_.size(); ++i) {
-    topology.entries[i].reserve(list.neighbors_of(i).size());
-    for (const md::Neighbor& nb : list.neighbors_of(i)) {
-      // displacement = (x_j + shift) - x_i  =>  shift is the image offset.
-      const md::Vec3 shift =
-          nb.displacement - (frame.positions[nb.index] - frame.positions[i]);
-      topology.entries[i].push_back(NeighborTopology::Entry{nb.index, shift});
-    }
-  }
-  return topology;
-}
-
-double DeepPotModel::energy(const md::Frame& frame) const {
-  const NeighborTopology topology = build_topology(frame);
-  const std::size_t m1 = spec_.m1();
-  const std::size_t m2 = spec_.m2();
-  double total = 0.0;
-  std::vector<double> t_matrix(m1 * 4);
-  std::vector<double> descriptor(m1 * m2);
-  // Net outputs and ping-pong scratch are hoisted out of the loops (and the
-  // scratch-taking forward overload used) so this path allocates nothing per
-  // neighbor.
-  std::vector<double> g;
-  std::vector<double> atomic;
-  std::vector<double> scratch;
-  for (std::size_t i = 0; i < types_.size(); ++i) {
-    std::fill(t_matrix.begin(), t_matrix.end(), 0.0);
-    for (const auto& entry : topology.entries[i]) {
-      const md::Vec3 d =
-          (frame.positions[entry.j] + entry.shift) - frame.positions[i];
-      const double r = md::norm(d);
-      if (r >= spec_.descriptor.rcut) continue;
-      const double s = switching_.value(r);
-      const double row[4] = {s, s * d[0] / r, s * d[1] / r, s * d[2] / r};
-      embedding(types_[i], types_[entry.j]).forward(std::span(&s, 1), g, scratch);
-      for (std::size_t m = 0; m < m1; ++m) {
-        for (std::size_t c = 0; c < 4; ++c) {
-          t_matrix[m * 4 + c] += sel_norm_ * g[m] * row[c];
-        }
-      }
-    }
-    for (std::size_t a = 0; a < m1; ++a) {
-      for (std::size_t b = 0; b < m2; ++b) {
-        double sum = 0.0;
-        for (std::size_t c = 0; c < 4; ++c) {
-          sum += t_matrix[a * 4 + c] * t_matrix[b * 4 + c];
-        }
-        descriptor[a * m2 + b] = sum;
-      }
-    }
-    fitting(types_[i]).forward(descriptor, atomic, scratch);
-    total += atomic[0] + energy_bias_per_atom_;
-  }
-  return total;
-}
-
 DeepPotModel::FrameGraph DeepPotModel::build_graph(ad::Tape& tape,
                                                    const md::Frame& frame) const {
-  return build_graph(tape, frame, build_topology(frame));
-}
-
-DeepPotModel::FrameGraph DeepPotModel::build_graph(
-    ad::Tape& tape, const md::Frame& frame, const NeighborTopology& topology) const {
   const std::size_t n = types_.size();
+  if (frame.positions.size() != n) {
+    throw util::ValueError("frame atom count does not match model");
+  }
+  const md::NeighborList list(md::Box(frame.box_length), frame.positions,
+                              spec_.descriptor.rcut);
   const std::size_t m1 = spec_.m1();
   const std::size_t m2 = spec_.m2();
 
@@ -202,16 +121,21 @@ DeepPotModel::FrameGraph DeepPotModel::build_graph(
   std::vector<ad::Var> descriptor(m1 * m2);
   for (std::size_t i = 0; i < n; ++i) {
     for (auto& cell : t_matrix) cell = tape.constant(0.0);
-    for (const auto& entry : topology.entries[i]) {
-      const ad::Var dx = (coords[entry.j * 3 + 0] + entry.shift[0]) - coords[i * 3 + 0];
-      const ad::Var dy = (coords[entry.j * 3 + 1] + entry.shift[1]) - coords[i * 3 + 1];
-      const ad::Var dz = (coords[entry.j * 3 + 2] + entry.shift[2]) - coords[i * 3 + 2];
+    for (const md::Neighbor& nb : list.neighbors_of(i)) {
+      // The periodic-image shift, recovered as build_frame_geometry does, so
+      // displacement = (x_j + shift) - x_i carries coordinate gradients.
+      const std::size_t j = nb.index;
+      const md::Vec3 shift =
+          nb.displacement - (frame.positions[j] - frame.positions[i]);
+      const ad::Var dx = (coords[j * 3 + 0] + shift[0]) - coords[i * 3 + 0];
+      const ad::Var dy = (coords[j * 3 + 1] + shift[1]) - coords[i * 3 + 1];
+      const ad::Var dz = (coords[j * 3 + 2] + shift[2]) - coords[i * 3 + 2];
       const ad::Var r = ad::sqrt(dx * dx + dy * dy + dz * dz);
       if (r.value() >= spec_.descriptor.rcut) continue;
       const ad::Var s = switching_.value(r);
       const ad::Var inv_r = 1.0 / r;
       const ad::Var row[4] = {s, s * dx * inv_r, s * dy * inv_r, s * dz * inv_r};
-      const std::size_t net = pair_index(types_[i], types_[entry.j]);
+      const std::size_t net = pair_index(types_[i], types_[j]);
       const ad::Var input[1] = {s};
       const std::vector<ad::Var> g =
           embeddings_[net].forward(tape, embed_views[net], std::span(input, 1));
@@ -247,24 +171,9 @@ DeepPotModel::FrameGraph DeepPotModel::build_graph(
   return graph;
 }
 
-md::ForceEnergy DeepPotModel::energy_forces(const md::Frame& frame) const {
-  return energy_forces(frame, build_topology(frame));
-}
-
-md::ForceEnergy DeepPotModel::energy_forces(const md::Frame& frame,
-                                            const NeighborTopology& topology) const {
-  // Analytic fast path: no tape nodes, no per-neighbor allocations -- the
-  // geometry and workspace arenas are reused across calls on each thread.
-  thread_local FrameGeometry geometry;
-  thread_local FastWorkspace workspace;
-  build_frame_geometry(*this, frame, topology, geometry);
-  return FastGraph(*this).energy_forces(geometry, workspace);
-}
-
-md::ForceEnergy DeepPotModel::energy_forces_tape(
-    const md::Frame& frame, const NeighborTopology& topology) const {
+md::ForceEnergy DeepPotModel::energy_forces_tape(const md::Frame& frame) const {
   ad::Tape tape;
-  const FrameGraph graph = build_graph(tape, frame, topology);
+  const FrameGraph graph = build_graph(tape, frame);
   md::ForceEnergy out;
   out.energy = graph.energy.value();
   out.forces.resize(types_.size());

@@ -11,7 +11,7 @@
 //     T_i  = (1/sel) sum_j g_ij^T R_ij               (M1 x 4)
 //     D_i  = T_i T2_i^T, T2 = first M2 rows of T_i   (M1 x M2 descriptor)
 //     E_i  = Fit_{t_i}(vec(D_i)) + bias_{t_i}
-//   E = sum_i E_i,  F = -dE/dx (by autodiff)
+//   E = sum_i E_i,  F = -dE/dx
 //
 // The descriptor is invariant to translation, rigid rotation, and permutation
 // of like atoms, and smooth as neighbors enter/leave the cutoff sphere; the
@@ -31,17 +31,10 @@
 
 namespace dpho::dp {
 
-/// Fixed neighbor topology of one frame: for each atom, its neighbors and the
-/// constant periodic-image shift such that displacement = (x_j + shift) - x_i.
-struct NeighborTopology {
-  struct Entry {
-    std::size_t j = 0;
-    md::Vec3 shift{};
-  };
-  std::vector<std::vector<Entry>> entries;
-};
-
-/// The trainable potential.
+/// The trainable potential: architecture, parameters and serialization.
+/// Evaluation lives in dp::Potential (whole frames, dp/potential.hpp) and
+/// dp::MdSession (MD, dp/md_session.hpp); build_graph below is the tape
+/// oracle the test-suite holds both kernels to.
 class DeepPotModel {
  public:
   /// `types` fixes the atom ordering the model is trained on;
@@ -61,22 +54,11 @@ class DeepPotModel {
   std::vector<double> gather_params() const;
   void scatter_params(std::span<const double> params);
 
-  /// Neighbor topology for a frame (uses the frame's own box length).
-  NeighborTopology build_topology(const md::Frame& frame) const;
-
-  /// Fast double-only energy prediction.
-  double energy(const md::Frame& frame) const;
-
-  /// Energy + forces via first-order reverse-mode autodiff.
-  md::ForceEnergy energy_forces(const md::Frame& frame) const;
-
-  /// As above, reusing a precomputed topology of the same frame (frames are
-  /// static during training, so the trainer caches topologies per dataset).
-  md::ForceEnergy energy_forces(const md::Frame& frame,
-                                const NeighborTopology& topology) const;
-
-  /// Full differentiable graph for one frame: used by the trainer, which
-  /// needs gradients of a force-containing loss with respect to parameters.
+  /// Full differentiable graph for one frame (the scalar-tape oracle):
+  /// energy, forces and the bound parameters, so tests and benches can take
+  /// gradients of a force-containing loss with respect to parameters.  Const
+  /// and free of hidden shared state, so concurrent calls on distinct tapes
+  /// are safe.
   struct FrameGraph {
     ad::Var energy;                  // total predicted energy
     std::vector<ad::Var> forces;     // 3*N flattened predicted forces
@@ -84,17 +66,10 @@ class DeepPotModel {
   };
   FrameGraph build_graph(ad::Tape& tape, const md::Frame& frame) const;
 
-  /// As above with a precomputed topology.  Const and free of hidden shared
-  /// state, so concurrent calls on distinct tapes are safe (the trainer's
-  /// data-parallel gradient path relies on this).
-  FrameGraph build_graph(ad::Tape& tape, const md::Frame& frame,
-                         const NeighborTopology& topology) const;
-
-  /// Tape-based reference implementation of energy_forces.  The analytic
-  /// fast path (dp/fast_graph.hpp) is the default; this stays as the
-  /// differentiation oracle for parity tests and backward_mode=tape.
-  md::ForceEnergy energy_forces_tape(const md::Frame& frame,
-                                     const NeighborTopology& topology) const;
+  /// Energy + forces through the tape oracle: the differentiation reference
+  /// the analytic kernels (dp/fast_graph.hpp, dp/md_session.hpp) are tested
+  /// against.
+  md::ForceEnergy energy_forces_tape(const md::Frame& frame) const;
 
   /// Serialization (the dp_train tool writes a model checkpoint).  The
   /// checkpoint stores the architecture as a "spec" block; load() also
@@ -116,11 +91,6 @@ class DeepPotModel {
   double energy_bias_per_atom() const { return energy_bias_per_atom_; }
 
  private:
-  const nn::Mlp& embedding(md::Species center, md::Species neighbor) const;
-  nn::Mlp& embedding(md::Species center, md::Species neighbor);
-  const nn::Mlp& fitting(md::Species center) const;
-  nn::Mlp& fitting(md::Species center);
-
   ModelSpec spec_;
   std::vector<md::Species> types_;
   double energy_bias_per_atom_ = 0.0;

@@ -1,6 +1,5 @@
 #include "dp/potential.hpp"
 
-#include "hpc/parallel.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 
@@ -10,11 +9,9 @@ Potential::Potential(DeepPotModel model)
     : Potential(std::make_shared<const DeepPotModel>(std::move(model))) {}
 
 Potential::Potential(std::shared_ptr<const DeepPotModel> model)
-    : model_(std::move(model)),
-      graph_(*model_),
-      scratch_(std::make_unique<hpc::ThreadScratch<EvalScratch>>()) {
-  if (!model_) throw util::ValueError("Potential: null model");
-}
+    : model_(model ? std::move(model)
+                   : throw util::ValueError("Potential: null model")),
+      graph_(*model_) {}
 
 Potential Potential::borrow(const DeepPotModel& model) {
   // Non-owning aliasing handle; the caller guarantees the model's lifetime.
@@ -31,20 +28,14 @@ Potential Potential::load_file(const std::string& path) {
 }
 
 md::ForceEnergy Potential::evaluate(const md::Frame& frame) const {
-  return evaluate(frame, model_->build_topology(frame));
+  thread_local FrameGeometry geometry;
+  build_frame_geometry(*model_, frame, geometry);
+  return evaluate(geometry);
 }
 
-md::ForceEnergy Potential::evaluate(const md::Frame& frame,
-                                    const NeighborTopology& topology) const {
-  EvalScratch& scratch = scratch_->local();
-  build_frame_geometry(*model_, frame, topology, scratch.geometry);
-  return graph_.energy_forces(scratch.geometry, scratch.workspace);
-}
-
-std::vector<md::ForceEnergy> Potential::evaluate(std::span<const md::Frame> frames,
-                                                 hpc::ThreadPool* pool) const {
-  return hpc::parallel_map<md::ForceEnergy>(
-      pool, frames.size(), [&](std::size_t i) { return evaluate(frames[i]); });
+md::ForceEnergy Potential::evaluate(const FrameGeometry& geometry) const {
+  thread_local FastWorkspace workspace;
+  return graph_.energy_forces(geometry, workspace);
 }
 
 }  // namespace dpho::dp

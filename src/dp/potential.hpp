@@ -1,14 +1,18 @@
-// The one evaluation entry point for a trained DeepPot-SE potential.
+// The one whole-frame evaluation entry point for a trained DeepPot-SE
+// potential.
 //
-// Training builds DeepPotModel instances three different ways and every
-// consumer used to reach into the model directly: dp_test through
-// energy_forces, MD through make_force_provider, validation through the
-// trainer's private helpers.  Potential collapses those into a single API --
-// load a model (from a checkpoint document, a file, or an HPO run archive via
-// dp::ModelArchive) and call evaluate() -- that always takes the analytic
-// primal path (dp::FastGraph forward + reverse, no tape, no gradient
-// buffers), with per-thread geometry/workspace arenas so concurrent callers
-// never contend and steady-state evaluation performs no allocations.
+// Every consumer of energies and forces for independent frames -- dp_test,
+// dp_serve, the trainer's validation pass -- calls Potential::evaluate: load
+// a model (from a checkpoint document, a file, or an HPO run archive via
+// dp::ModelArchive) and evaluate it through the analytic primal path
+// (dp::FastGraph forward + reverse, no tape, no gradient buffers).  MD, where
+// step t+1's neighborhood is step t's plus a skin, runs the persistent
+// dp::MdSession from make_md_session() instead.
+//
+// The neighbor list, geometry and kernel workspace are function-local
+// thread_local arenas that every call re-sizes, so concurrent callers never
+// contend and a thread's steady state allocates only the returned
+// ForceEnergy -- also through a freshly constructed Potential.
 //
 // Ownership: a Potential normally owns its model (shared, so copies of the
 // Potential are cheap and a serving cache can hand out references safely).
@@ -19,14 +23,10 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "dp/fast_graph.hpp"
 #include "dp/model.hpp"
-#include "hpc/scratch.hpp"
-#include "hpc/thread_pool.hpp"
 #include "md/dataset.hpp"
 #include "md/potential.hpp"
 
@@ -55,40 +55,25 @@ class Potential {
   const ModelSpec& spec() const { return model_->spec(); }
   std::size_t num_atoms() const { return model_->num_atoms(); }
 
-  /// Analytic energy + forces for one frame (topology built here).
+  /// Analytic energy + forces for one frame (neighbor list and geometry
+  /// built here).
   md::ForceEnergy evaluate(const md::Frame& frame) const;
 
-  /// As above with a precomputed topology of the same frame (the trainer's
-  /// validation pass reuses its per-dataset topology cache).
-  md::ForceEnergy evaluate(const md::Frame& frame,
-                           const NeighborTopology& topology) const;
-
-  /// Batch evaluation in frame order.  With a pool, frames are evaluated
-  /// concurrently on per-thread arenas; results are index-ordered and
-  /// bit-identical to the serial path at any thread count.
-  std::vector<md::ForceEnergy> evaluate(std::span<const md::Frame> frames,
-                                        hpc::ThreadPool* pool = nullptr) const;
+  /// As above from a prebuilt geometry of this model (the trainer's
+  /// validation pass reuses its per-dataset TopologyCache).
+  md::ForceEnergy evaluate(const FrameGeometry& geometry) const;
 
   /// Persistent MD evaluation session sharing this model (dp/md_session.hpp):
   /// Verlet-skin topology reuse, preallocated kernel workspace, optional
-  /// chunk-parallel force evaluation.  Defined in md_session.cpp.
+  /// chunk-parallel force evaluation.  The session shares ownership of the
+  /// model, so it may outlive this Potential.  Defined in md_session.cpp.
   std::unique_ptr<MdSession> make_md_session() const;
   std::unique_ptr<MdSession> make_md_session(
       const md::SessionOptions& options) const;
 
-  /// The shared model handle (session construction, serving caches).
-  std::shared_ptr<const DeepPotModel> share_model() const { return model_; }
-
  private:
-  struct EvalScratch {
-    FrameGeometry geometry;
-    FastWorkspace workspace;
-  };
-
   std::shared_ptr<const DeepPotModel> model_;
   FastGraph graph_;
-  // unique_ptr keeps the Potential movable (ThreadScratch pins itself).
-  std::unique_ptr<hpc::ThreadScratch<EvalScratch>> scratch_;
 };
 
 }  // namespace dpho::dp

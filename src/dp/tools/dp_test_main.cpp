@@ -4,15 +4,15 @@
 //   dp_test <model.json> <data_dir> [--per-frame]
 //
 // Prints the per-atom energy RMSE and force-component RMSE over the dataset.
+// Predictions come from dp::Potential::evaluate, the same entry point
+// dp_serve and the trainer's validation pass use.
 // Exit codes: 0 success, 2 bad usage, 4 failure.
 #include <cmath>
 #include <cstring>
 #include <iostream>
 
-#include "dp/model.hpp"
+#include "dp/potential.hpp"
 #include "util/error.hpp"
-#include "util/fs.hpp"
-#include "util/json.hpp"
 
 int main(int argc, char** argv) {
   using namespace dpho;
@@ -31,16 +31,15 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const dp::DeepPotModel model =
-        dp::DeepPotModel::load(util::Json::parse(util::read_file(argv[1])));
+    const dp::Potential potential = dp::Potential::load_file(argv[1]);
     const md::FrameDataset data = md::FrameDataset::load(argv[2]);
-    if (data.num_atoms() != model.num_atoms()) {
+    if (data.num_atoms() != potential.num_atoms()) {
       throw util::ValueError("dataset atom count does not match the model");
     }
     double sum_e = 0.0, sum_f = 0.0;
     for (std::size_t f = 0; f < data.size(); ++f) {
       const md::Frame& frame = data.frame(f);
-      const md::ForceEnergy prediction = model.energy_forces(frame);
+      const md::ForceEnergy prediction = potential.evaluate(frame);
       const double n = static_cast<double>(frame.positions.size());
       const double de = (prediction.energy - frame.energy) / n;
       double ss = 0.0;

@@ -11,29 +11,18 @@ namespace dpho::dp {
 void TopologyCache::warm(const DeepPotModel& model, const md::FrameDataset& data,
                          std::size_t count, hpc::ThreadPool* pool) {
   const std::size_t target = std::min(count, data.size());
-  const std::size_t start = topologies_.size();
+  const std::size_t start = geometries_.size();
   if (target <= start) return;
-  topologies_.resize(target);
   geometries_.resize(target);
   const auto build = [&](std::size_t offset) {
     const std::size_t i = start + offset;
-    topologies_[i] = model.build_topology(data.frame(i));
-    build_frame_geometry(model, data.frame(i), topologies_[i], geometries_[i]);
+    build_frame_geometry(model, data.frame(i), geometries_[i]);
   };
   if (pool != nullptr && pool->size() > 1 && target - start > 1) {
     pool->parallel_for(target - start, build);
   } else {
     for (std::size_t offset = 0; offset < target - start; ++offset) build(offset);
   }
-}
-
-const NeighborTopology& TopologyCache::at(std::size_t frame_index) const {
-  if (frame_index >= topologies_.size()) {
-    throw util::ValueError("topology cache: frame " + std::to_string(frame_index) +
-                           " not warmed (cache holds " +
-                           std::to_string(topologies_.size()) + ")");
-  }
-  return topologies_[frame_index];
 }
 
 const FrameGeometry& TopologyCache::geometry_at(std::size_t frame_index) const {

@@ -1,13 +1,11 @@
-// Per-frame neighbor-topology and geometry cache for static datasets.
+// Per-frame geometry cache for static datasets.
 //
-// Frames never move during training, but the trainer used to rebuild each
-// frame's NeighborTopology (cell-list search + image shifts) on every step it
-// sampled the frame.  This cache builds every topology exactly once per
-// dataset -- optionally in parallel on a ThreadPool -- after which lookups
-// are lock-free const reads, safe from the trainer's concurrent gradient
-// workers.  Alongside each topology it caches the frame's FrameGeometry --
-// the step-invariant per-pair quantities s(r), s'(r) and unit vectors the
-// analytic kernels consume -- so training steps start straight at the
+// Frames never move during training, so the trainer builds each frame's
+// FrameGeometry -- the neighbor pairs within the cutoff and their
+// step-invariant s(r), s'(r) and unit vectors -- exactly once per dataset,
+// optionally in parallel on a ThreadPool.  After warm() lookups are
+// lock-free const reads, safe from the trainer's concurrent gradient
+// workers, and training steps and validation rows start straight at the
 // embedding-net batches.
 #pragma once
 
@@ -26,25 +24,20 @@ namespace dpho::dp {
 
 class TopologyCache {
  public:
-  /// Builds topologies for frames [0, count) of `data` with the model's
+  /// Builds geometries for frames [0, count) of `data` with the model's
   /// cutoff (count is clamped to the dataset size).  Re-warming with the same
   /// arguments is a no-op; a larger count extends the cache.
   void warm(const DeepPotModel& model, const md::FrameDataset& data,
             std::size_t count, hpc::ThreadPool* pool = nullptr);
 
-  std::size_t size() const { return topologies_.size(); }
-  bool empty() const { return topologies_.empty(); }
+  std::size_t size() const { return geometries_.size(); }
+  bool empty() const { return geometries_.empty(); }
 
-  /// The cached topology of frame `frame_index`; throws util::ValueError when
-  /// the frame was not covered by warm().
-  const NeighborTopology& at(std::size_t frame_index) const;
-
-  /// The cached analytic-kernel geometry of frame `frame_index`; same
-  /// coverage rules as at().
+  /// The cached analytic-kernel geometry of frame `frame_index`; throws
+  /// util::ValueError when the frame was not covered by warm().
   const FrameGeometry& geometry_at(std::size_t frame_index) const;
 
  private:
-  std::vector<NeighborTopology> topologies_;
   std::vector<FrameGeometry> geometries_;
 };
 

@@ -31,15 +31,11 @@ struct FrameErrors {
   double force_sq = 0.0;            // mean over 3N components of dF^2
 };
 
-FrameErrors frame_errors(const DeepPotModel& model, const Potential& potential,
-                         const md::Frame& frame, const NeighborTopology& topology,
-                         BackwardMode mode) {
-  // Validation predictions come from the same engine the training uses, so a
-  // tape-mode run never mixes engines.  The analytic branch goes through the
-  // shared Potential entry point (the exact kernels dp_serve and MD run).
-  const md::ForceEnergy prediction = mode == BackwardMode::kTape
-                                         ? model.energy_forces_tape(frame, topology)
-                                         : potential.evaluate(frame, topology);
+FrameErrors frame_errors(const Potential& potential, const md::Frame& frame,
+                         const FrameGeometry& geometry) {
+  // The shared Potential entry point (the exact kernels dp_serve and dp_test
+  // run) over the frame's cached geometry.
+  const md::ForceEnergy prediction = potential.evaluate(geometry);
   const auto n = static_cast<double>(frame.positions.size());
   FrameErrors errors;
   const double de = (prediction.energy - frame.energy) / n;
@@ -55,33 +51,7 @@ FrameErrors frame_errors(const DeepPotModel& model, const Potential& potential,
   return errors;
 }
 
-/// One frame's contribution to a training step: loss value plus raw
-/// parameter-gradient values, computed on a worker and reduced in frame
-/// order by the caller.
-struct FrameContribution {
-  double loss = 0.0;
-  std::vector<double> grad;
-};
-
-/// Worker-local tape, reset per frame; reuse keeps node storage warm across
-/// the thousands of graphs a training builds.
-ad::Tape& worker_tape() {
-  static thread_local ad::Tape tape;
-  return tape;
-}
-
 }  // namespace
-
-std::string to_string(BackwardMode mode) {
-  return mode == BackwardMode::kTape ? "tape" : "analytic";
-}
-
-BackwardMode parse_backward_mode(std::string_view text) {
-  if (text == "tape") return BackwardMode::kTape;
-  if (text == "analytic") return BackwardMode::kAnalytic;
-  throw util::ValueError("unknown backward mode '" + std::string(text) +
-                         "' (expected tape|analytic)");
-}
 
 Trainer::Trainer(const TrainInput& config, const md::FrameDataset& train,
                  const md::FrameDataset& validation, TrainerOptions options)
@@ -114,8 +84,8 @@ std::pair<double, double> Trainer::validation_rmse() const {
   // match the serial path bit for bit.
   const std::vector<FrameErrors> errors = hpc::parallel_map<FrameErrors>(
       pool_, count, [&](std::size_t i) {
-        return frame_errors(model_, potential_, validation_data_.frame(i),
-                            validation_topology_.at(i), options_.backward_mode);
+        return frame_errors(potential_, validation_data_.frame(i),
+                            validation_topology_.geometry_at(i));
       });
   double sum_e = 0.0;
   double sum_f = 0.0;
@@ -159,9 +129,8 @@ TrainResult Trainer::train() {
     const auto [e_val, f_val] = validation_rmse();
     // Training metrics from the first training frame (cheap proxy, the same
     // role DeePMD's rmse_*_trn columns play).
-    const FrameErrors trn = frame_errors(model_, potential_, train_data_.frame(0),
-                                         train_topology_.at(0),
-                                         options_.backward_mode);
+    const FrameErrors trn = frame_errors(potential_, train_data_.frame(0),
+                                         train_topology_.geometry_at(0));
     result.lcurve.add(LcurveRow{step, e_val, std::sqrt(trn.energy_sq_per_atom), f_val,
                                 std::sqrt(trn.force_sq), schedule.lr(step)});
     obs::events().emit("trainer.row",
@@ -173,19 +142,17 @@ TrainResult Trainer::train() {
 
   const std::size_t batch_size = config_.training.batch_size;
   std::vector<std::size_t> batch_frames(batch_size);
-  // The analytic path fuses frames: the batch is split into fixed groups of
-  // fuse_frames consecutive batch slots, each group running one multi-frame
-  // kernel pass into its own preallocated gradient buffer.  Grouping is a
-  // function of batch index only, so it is thread-count independent.
+  // Frames are fused: the batch is split into fixed groups of fuse_frames
+  // consecutive batch slots, each group running one multi-frame kernel pass
+  // into its own preallocated gradient buffer.  Grouping is a function of
+  // batch index only, so it is thread-count independent.
   const std::size_t fuse =
       std::clamp<std::size_t>(options_.fuse_frames, 1, batch_size);
   const std::size_t num_groups = (batch_size + fuse - 1) / fuse;
-  if (options_.backward_mode == BackwardMode::kAnalytic) {
-    frame_targets_.resize(batch_size);
-    frame_losses_.resize(batch_size);
-    group_grads_.resize(num_groups);
-    for (std::vector<double>& g : group_grads_) g.resize(params.size());
-  }
+  frame_targets_.resize(batch_size);
+  frame_losses_.resize(batch_size);
+  group_grads_.resize(num_groups);
+  for (std::vector<double>& g : group_grads_) g.resize(params.size());
   for (std::size_t step = 0; step < total_steps; ++step) {
     if (options_.wall_limit_seconds &&
         seconds_since(start_time) > *options_.wall_limit_seconds) {
@@ -201,68 +168,40 @@ TrainResult Trainer::train() {
           rng.uniform_int(0, static_cast<std::int64_t>(train_data_.size()) - 1));
     }
 
-    // Data-parallel forward/backward: the analytic engine runs one fused
-    // multi-frame kernel pass per group in a per-worker arena; tape mode
-    // builds each frame graph on its worker's tape (the slow reference
-    // oracle).  Either way the reduction below walks a fixed order, so the
-    // lcurve is bit-identical at any thread count.
+    // Data-parallel forward/backward: one fused multi-frame kernel pass per
+    // group, each in its worker thread's arena.  The reduction below walks a
+    // fixed order, so the lcurve is bit-identical at any thread count.
     obs::ScopedTimer grad_timer(grad_seconds);
     std::fill(grad.begin(), grad.end(), 0.0);
     double batch_loss = 0.0;
     const double inv_batch = 1.0 / static_cast<double>(batch_size);
-    if (options_.backward_mode == BackwardMode::kAnalytic) {
-      for (std::size_t b = 0; b < batch_size; ++b) {
-        const md::Frame& frame = train_data_.frames()[batch_frames[b]];
-        frame_targets_[b] =
-            FrameTarget{&train_topology_.geometry_at(batch_frames[b]),
-                        frame.energy, frame.forces};
-      }
-      const auto run_group = [&](std::size_t g) {
-        const std::size_t begin = g * fuse;
-        const std::size_t count = std::min(fuse, batch_size - begin);
-        fast_graph_.loss_and_grad_fused(
-            std::span<const FrameTarget>(frame_targets_).subspan(begin, count),
-            weights, workspaces_.local(), group_grads_[g],
-            std::span<double>(frame_losses_).subspan(begin, count));
-      };
-      if (pool_ == nullptr || pool_->size() <= 1 || num_groups <= 1) {
-        for (std::size_t g = 0; g < num_groups; ++g) run_group(g);
-      } else {
-        pool_->parallel_for(num_groups, run_group);
-      }
-      grad_timer.stop();
-      for (std::size_t b = 0; b < batch_size; ++b) batch_loss += frame_losses_[b];
-      for (std::size_t g = 0; g < num_groups; ++g) {
-        for (std::size_t p = 0; p < grad.size(); ++p) {
-          grad[p] += group_grads_[g][p] * inv_batch;
-        }
-      }
+    for (std::size_t b = 0; b < batch_size; ++b) {
+      const md::Frame& frame = train_data_.frames()[batch_frames[b]];
+      frame_targets_[b] = FrameTarget{&train_topology_.geometry_at(batch_frames[b]),
+                                      frame.energy, frame.forces};
+    }
+    const auto run_group = [&](std::size_t g) {
+      // Sized on every call and never shared by two work items at once (no
+      // kernel calls the pool from inside a work item), so one arena per
+      // thread serves every trainer.
+      thread_local FastWorkspace workspace;
+      const std::size_t begin = g * fuse;
+      const std::size_t count = std::min(fuse, batch_size - begin);
+      fast_graph_.loss_and_grad_fused(
+          std::span<const FrameTarget>(frame_targets_).subspan(begin, count),
+          weights, workspace, group_grads_[g],
+          std::span<double>(frame_losses_).subspan(begin, count));
+    };
+    if (pool_ == nullptr || pool_->size() <= 1 || num_groups <= 1) {
+      for (std::size_t g = 0; g < num_groups; ++g) run_group(g);
     } else {
-      const std::vector<FrameContribution> contributions =
-          hpc::parallel_map<FrameContribution>(pool_, batch_size, [&](std::size_t b) {
-            const md::Frame& frame = train_data_.frames()[batch_frames[b]];
-            FrameContribution contribution;
-            ad::Tape& tape = worker_tape();
-            tape.reset();
-            const DeepPotModel::FrameGraph graph =
-                model_.build_graph(tape, frame, train_topology_.at(batch_frames[b]));
-            const ad::Var frame_loss =
-                loss.build(tape, graph.energy, frame.energy, graph.forces,
-                           frame.forces, frame.positions.size(), weights);
-            const std::vector<ad::Var> dloss = tape.gradient(frame_loss, graph.params);
-            contribution.loss = frame_loss.value();
-            contribution.grad.resize(dloss.size());
-            for (std::size_t p = 0; p < dloss.size(); ++p) {
-              contribution.grad[p] = dloss[p].value();
-            }
-            return contribution;
-          });
-      grad_timer.stop();
-      for (std::size_t b = 0; b < batch_size; ++b) {
-        batch_loss += contributions[b].loss;
-        for (std::size_t p = 0; p < grad.size(); ++p) {
-          grad[p] += contributions[b].grad[p] * inv_batch;
-        }
+      pool_->parallel_for(num_groups, run_group);
+    }
+    grad_timer.stop();
+    for (std::size_t b = 0; b < batch_size; ++b) batch_loss += frame_losses_[b];
+    for (std::size_t g = 0; g < num_groups; ++g) {
+      for (std::size_t p = 0; p < grad.size(); ++p) {
+        grad[p] += group_grads_[g][p] * inv_batch;
       }
     }
     if (!std::isfinite(batch_loss)) {

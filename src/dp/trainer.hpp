@@ -16,8 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <string_view>
+#include <vector>
 
 #include "dp/config.hpp"
 #include "dp/fast_graph.hpp"
@@ -25,7 +24,6 @@
 #include "dp/model.hpp"
 #include "dp/potential.hpp"
 #include "dp/topology_cache.hpp"
-#include "hpc/scratch.hpp"
 #include "md/dataset.hpp"
 
 namespace dpho::hpc {
@@ -43,16 +41,6 @@ struct TrainResult {
   LcurveWriter lcurve;
 };
 
-/// Which differentiation engine evaluates per-frame loss gradients.
-enum class BackwardMode {
-  kTape,      // scalar-tape autodiff: the slow reference oracle
-  kAnalytic,  // hand-derived fused kernels (dp/fast_graph.hpp)
-};
-
-std::string to_string(BackwardMode mode);
-/// Parses "tape" / "analytic"; throws util::ValueError otherwise.
-BackwardMode parse_backward_mode(std::string_view text);
-
 /// Options beyond the input.json config.
 struct TrainerOptions {
   /// Hard wall-clock budget in seconds; exceeded -> util::TimeoutError,
@@ -69,15 +57,10 @@ struct TrainerOptions {
   /// evaluator under the task farm -- share one pool instead of
   /// oversubscribing cores.
   hpc::ThreadPool* pool = nullptr;
-  /// Differentiation engine for the gradient hot path.  The analytic kernels
-  /// are the default; kTape keeps the scalar-tape oracle for parity testing
-  /// and for debugging suspected kernel regressions (see DESIGN.md).
-  BackwardMode backward_mode = BackwardMode::kAnalytic;
   /// How many frames each fused analytic gradient call stacks into one
   /// batched kernel pass (clamped to the batch size; minimum 1).  The batch
   /// is split into ceil(batch / fuse_frames) fixed groups by batch index, so
-  /// the lcurve depends on this value but NOT on the thread count.  Ignored
-  /// in tape mode.
+  /// the lcurve depends on this value but NOT on the thread count.
   std::size_t fuse_frames = 4;
 };
 
@@ -114,12 +97,10 @@ class Trainer {
   TopologyCache validation_topology_;
   FastGraph fast_graph_;  // bound to model_; the analytic gradient engine
   // Borrowed view of model_: validation predictions go through the same
-  // dp::Potential entry point serving and MD use (parameter updates through
-  // model_ are visible because the kernels read parameters per call).
+  // dp::Potential entry point dp_test and dp_serve use (parameter updates
+  // through model_ are visible because the kernels read parameters per call).
   Potential potential_;
-  // One reusable kernel arena per gradient worker thread.
-  hpc::ThreadScratch<FastWorkspace> workspaces_;
-  // Preallocated per-step buffers for the fused analytic path (sized once in
+  // Preallocated per-step buffers for the fused gradient path (sized once in
   // train(), reused every step -- no per-step gradient allocations).
   std::vector<FrameTarget> frame_targets_;    // batch_size entries
   std::vector<double> frame_losses_;          // batch_size entries

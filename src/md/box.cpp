@@ -7,7 +7,9 @@
 namespace dpho::md {
 
 Box::Box(double length) : length_(length), inv_length_(1.0 / length) {
-  if (length <= 0.0) throw util::ValueError("box length must be positive");
+  if (!std::isfinite(length) || length <= 0.0) {
+    throw util::ValueError("box length must be positive and finite");
+  }
 }
 
 Vec3 Box::displacement(const Vec3& ri, const Vec3& rj) const {

@@ -1,10 +1,27 @@
 #include "md/neighbor.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/error.hpp"
 
 namespace dpho::md {
+
+namespace {
+
+/// Cell-count cap per side: floor(cbrt(8N + 27)), never below 3.  A box of
+/// (L / cutoff)^3 mostly empty bins costs memory without saving pair checks,
+/// so a dilute (or hostile) box gets fewer, larger cells instead.  Dense
+/// boxes have cells^3 <= N and are never capped.
+double max_cells_per_side(std::size_t num_atoms) {
+  const double bound = 8.0 * static_cast<double>(num_atoms) + 27.0;
+  double side = std::floor(std::cbrt(bound));
+  while ((side + 1.0) * (side + 1.0) * (side + 1.0) <= bound) side += 1.0;
+  while (side * side * side > bound) side -= 1.0;
+  return side;
+}
+
+}  // namespace
 
 NeighborList::NeighborList(const Box& box, const std::vector<Vec3>& positions,
                            double cutoff, NeighborBuild mode) {
@@ -13,20 +30,26 @@ NeighborList::NeighborList(const Box& box, const std::vector<Vec3>& positions,
 
 void NeighborList::build(const Box& box, const std::vector<Vec3>& positions,
                          double cutoff, NeighborBuild mode) {
-  if (cutoff <= 0.0) throw util::ValueError("neighbor cutoff must be positive");
+  if (!(cutoff > 0.0)) throw util::ValueError("neighbor cutoff must be positive");
   if (cutoff > box.max_cutoff() + 1e-12) {
     throw util::ValueError("neighbor cutoff exceeds half the box edge");
   }
+  for (const Vec3& r : positions) {
+    if (!std::isfinite(r[0]) || !std::isfinite(r[1]) || !std::isfinite(r[2])) {
+      throw util::ValueError("neighbor list: non-finite atom coordinate");
+    }
+  }
   cutoff_ = cutoff;
   pairs_.clear();
-  const auto cells_per_side = static_cast<std::size_t>(box.length() / cutoff);
-  bool use_cells = cells_per_side >= 3;
+  const double cells_per_side = std::min(std::floor(box.length() / cutoff),
+                                         max_cells_per_side(positions.size()));
+  bool use_cells = cells_per_side >= 3.0;
   if (mode == NeighborBuild::kBruteForce) use_cells = false;
   if (mode == NeighborBuild::kCells && !use_cells) {
     throw util::ValueError("cell-list build needs a box >= 3 cells wide");
   }
   if (use_cells) {
-    build_cells(box, positions);
+    build_cells(box, positions, static_cast<long>(cells_per_side));
     used_cells_ = true;
   } else {
     build_brute_force(box, positions);
@@ -72,9 +95,8 @@ void NeighborList::build_brute_force(const Box& box,
   }
 }
 
-void NeighborList::build_cells(const Box& box,
-                               const std::vector<Vec3>& positions) {
-  const auto cells = static_cast<long>(box.length() / cutoff_);
+void NeighborList::build_cells(const Box& box, const std::vector<Vec3>& positions,
+                               long cells) {
   const double cell_size = box.length() / static_cast<double>(cells);
   const auto cell_of = [&](const Vec3& r) {
     const Vec3 w = box.wrap(r);

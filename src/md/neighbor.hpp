@@ -51,8 +51,10 @@ class NeighborList {
 
   /// Rebuilds in place, reusing all internal storage (grow-only capacity).
   /// Enumeration order is identical to a freshly constructed list.  Throws
-  /// ValueError for an invalid cutoff, or for mode kCells when the box is
-  /// under three cells wide.
+  /// ValueError for an invalid cutoff, a non-finite coordinate, or for mode
+  /// kCells when the box is under three cells wide.  Cells per side are
+  /// capped at floor(cbrt(8N + 27)), so a dilute box cannot allocate more
+  /// bins than atoms warrant.
   void build(const Box& box, const std::vector<Vec3>& positions, double cutoff,
              NeighborBuild mode = NeighborBuild::kAuto);
 
@@ -80,7 +82,7 @@ class NeighborList {
   };
 
   void build_brute_force(const Box& box, const std::vector<Vec3>& positions);
-  void build_cells(const Box& box, const std::vector<Vec3>& positions);
+  void build_cells(const Box& box, const std::vector<Vec3>& positions, long cells);
   /// counts -> offsets -> flat fill, in the half-pair enumeration order.
   void compress(std::size_t num_atoms);
 

@@ -1,5 +1,7 @@
 #include "sched/protocol.hpp"
 
+#include <cmath>
+
 #include "hpc/net/wire.hpp"
 #include "util/error.hpp"
 
@@ -8,14 +10,17 @@ namespace dpho::sched {
 namespace {
 
 /// A non-negative integer field (ids, counts); throws ParseError when the
-/// field is missing or not a number, ValueError when negative.
+/// field is missing or not a number, ValueError when it is negative,
+/// fractional or 2^53 or more.
 std::uint64_t uint_field(const util::Json& message, const std::string& key) {
   if (!message.contains(key) || !message.at(key).is_number()) {
     throw util::ParseError("sched message: missing numeric field " + key);
   }
   const double value = message.at(key).as_number();
-  if (value < 0.0) {
-    throw util::ValueError("sched message: field " + key + " must be >= 0");
+  // Below 2^53 every integer is exact in a double and the cast is defined.
+  if (!(value >= 0.0 && value < 0x1p53) || value != std::floor(value)) {
+    throw util::ValueError("sched message: field " + key +
+                           " must be an integer in [0, 2^53)");
   }
   return static_cast<std::uint64_t>(value);
 }

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -84,9 +85,11 @@ void Server::handle_frame(Connection& connection, const std::string& payload) {
   util::Json reply;
   try {
     const util::Json message = util::Json::parse(payload);
-    if (message.is_object() && message.contains("id") &&
-        message.at("id").is_number() && message.at("id").as_number() >= 0.0) {
-      id = static_cast<std::uint64_t>(message.at("id").as_number());
+    // Only a wire-exact id (an integer below 2^53) is cast; the decoder
+    // refuses any other one under id 0.
+    const double raw_id = message.number_or("id", -1.0);
+    if (raw_id >= 0.0 && raw_id < 0x1p53 && raw_id == std::floor(raw_id)) {
+      id = static_cast<std::uint64_t>(raw_id);
     }
     reply = dispatch(message);
   } catch (const SchedError& e) {

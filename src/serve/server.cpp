@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "obs/event_sink.hpp"
@@ -214,8 +215,16 @@ void Server::handle_frame(const std::shared_ptr<Connection>& connection,
     send_error(connection, 0, ErrorCode::kBadRequest, e.what());
     return;
   }
-  const auto id = static_cast<std::uint64_t>(
-      std::max(0.0, message.number_or("id", 0.0)));
+  // A numeric id must be a wire-exact integer (below 2^53) before it is cast;
+  // anything else is refused under id 0.  A non-numeric id is left for the
+  // eval decoder to refuse.
+  const double raw_id = message.number_or("id", 0.0);
+  if (!(raw_id >= 0.0 && raw_id < 0x1p53) || raw_id != std::floor(raw_id)) {
+    send_error(connection, 0, ErrorCode::kBadRequest,
+               "id must be an integer in [0, 2^53)");
+    return;
+  }
+  const auto id = static_cast<std::uint64_t>(raw_id);
   if (type == kMsgCatalog) {
     send(connection, encode_catalog_reply(id, catalog_));
     return;
@@ -354,6 +363,10 @@ void Server::process(Job job) {
     obs::events().emit("serve.reply", {{"id", job.request.id},
                                        {"model", job.request.model},
                                        {"frames", reply.energies.size()}});
+  } catch (const util::ValueError& e) {
+    // The request's own geometry is invalid (a box under twice the cutoff,
+    // non-finite coordinates): the client's fault, not the daemon's.
+    send_error(job.connection, job.request.id, ErrorCode::kBadRequest, e.what());
   } catch (const std::exception& e) {
     send_error(job.connection, job.request.id, ErrorCode::kInternal, e.what());
   }

@@ -50,6 +50,10 @@ std::int64_t Json::as_int() const {
   const double d = as_number();
   const double rounded = std::nearbyint(d);
   if (std::abs(d - rounded) > 1e-9) throw ValueError("json number is not integral");
+  // [-2^63, 2^63): the doubles whose conversion to int64 is defined.
+  if (!(rounded >= -0x1p63 && rounded < 0x1p63)) {
+    throw ValueError("json number is out of the integer range");
+  }
   return static_cast<std::int64_t>(rounded);
 }
 

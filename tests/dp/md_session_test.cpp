@@ -192,5 +192,113 @@ TEST_F(NnpSessionSuite, RejectsWrongAtomCountAndBox) {
   EXPECT_THROW(session->compute(resized, forces), util::ValueError);
 }
 
+TEST_F(NnpSessionSuite, WholeFrameEvaluateAllocatesOnlyItsResult) {
+  // Potential::evaluate keeps its neighbor list, geometry and workspace in
+  // per-thread arenas shared by every Potential: once a thread has evaluated
+  // a frame, another frame of that shape costs one allocation (the returned
+  // ForceEnergy's force vector) -- also through a Potential constructed
+  // after the warm-up, as a serving cache miss does.
+  const md::Frame& frame = data_->train.frame(0);
+  potential_->evaluate(frame);
+  const Potential fresh(potential_->model());
+
+  testsupport::reset_alloc_count();
+  const md::ForceEnergy warm = potential_->evaluate(frame);
+  const std::size_t warm_allocs = testsupport::alloc_count();
+  testsupport::reset_alloc_count();
+  const md::ForceEnergy via_fresh = fresh.evaluate(frame);
+  const std::size_t fresh_allocs = testsupport::alloc_count();
+
+  EXPECT_EQ(warm_allocs, 1u);
+  EXPECT_EQ(fresh_allocs, 1u);
+  EXPECT_EQ(via_fresh.energy, warm.energy);
+  EXPECT_TRUE(bitwise_equal(via_fresh.forces, warm.forces));
+}
+
+// Whole-trajectory checks of NNP molecular dynamics through the session and
+// VelocityVerlet::step.  The suite re-trains the shared fixture model.
+class NnpMdSuite : public NnpSessionSuite {
+ protected:
+  /// NVE trajectory from initial_state(temperature); returns the total
+  /// energy (potential + kinetic) after every step, starting with step 0.
+  static std::vector<double> run_nve(md::SystemState& state, std::size_t steps,
+                                     const md::SessionOptions& options = {}) {
+    auto session = potential_->make_md_session(options);
+    const md::VelocityVerlet integrator(0.5);
+    std::vector<md::Vec3> forces(state.size());
+    std::vector<double> total_energy;
+    double potential_energy = session->compute(state, forces);
+    total_energy.push_back(potential_energy + md::kinetic_energy(state));
+    for (std::size_t step = 0; step < steps; ++step) {
+      potential_energy = integrator.step(state, *session, forces);
+      total_energy.push_back(potential_energy + md::kinetic_energy(state));
+    }
+    return total_energy;
+  }
+};
+
+TEST_F(NnpMdSuite, ProviderMatchesModelPredictions) {
+  // A multi-chunk session on a pool against the whole-frame Potential: the
+  // chunked kernel sums energies and force adjoints in a different (fixed)
+  // order, so agreement is to rounding, not bitwise.
+  hpc::ThreadPool pool(2);
+  md::SessionOptions options;
+  options.chunk_atoms = 3;
+  options.pool = &pool;
+  auto session = potential_->make_md_session(options);
+  const md::SystemState state = initial_state(150.0);
+  std::vector<md::Vec3> forces(state.size());
+  const double energy = session->compute(state, forces);
+  EXPECT_GT(session->num_chunks(), 1u);
+
+  md::Frame frame;
+  frame.positions = state.positions;
+  frame.forces.resize(state.size());
+  frame.box_length = state.box_length;
+  const md::ForceEnergy ref = potential_->evaluate(frame);
+  EXPECT_NEAR(energy, ref.energy, 1e-9 * std::max(1.0, std::abs(ref.energy)));
+  for (std::size_t i = 0; i < ref.forces.size(); ++i) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_NEAR(forces[i][k], ref.forces[i][k], 1e-9)
+          << "atom " << i << " component " << k;
+    }
+  }
+}
+
+TEST_F(NnpMdSuite, NveOnLearnedSurfaceConservesEnergy) {
+  // Forces are exact gradients of a smooth learned energy, so NVE on the
+  // model conserves total energy to integrator error -- the paper's
+  // force-consistency requirement for stable dynamics (section 3.2).
+  md::SystemState state = initial_state(100.0);
+  const std::vector<double> energies = run_nve(state, 200);
+  ASSERT_EQ(energies.size(), 201u);
+  double max_drift = 0.0;
+  for (double e : energies) max_drift = std::max(max_drift, std::abs(e - energies[0]));
+  const double kinetic_scale = std::max(1.0, std::abs(md::kinetic_energy(state)));
+  EXPECT_LT(max_drift, 0.1 * kinetic_scale);
+}
+
+TEST_F(NnpMdSuite, DynamicsStaysBounded) {
+  md::SystemState state = initial_state(200.0);
+  run_nve(state, 150);
+  const md::Box box(state.box_length);
+  for (const md::Vec3& r : state.positions) {
+    const md::Vec3 wrapped = box.wrap(r);
+    EXPECT_TRUE(std::isfinite(wrapped[0]));
+  }
+  EXPECT_LT(md::kinetic_temperature(state), 5000.0);  // no explosion
+}
+
+TEST_F(NnpMdSuite, AtomCountMismatchThrows) {
+  // A fresh session refuses a mismatched system on its very first call
+  // (RejectsWrongAtomCountAndBox covers a warmed session).
+  auto session = potential_->make_md_session();
+  util::Rng rng(5);
+  md::SystemState wrong =
+      md::SystemSpec::scaled_system(2).create_initial_state(100.0, rng);
+  std::vector<md::Vec3> forces(wrong.size());
+  EXPECT_THROW(session->compute(wrong, forces), util::ValueError);
+}
+
 }  // namespace
 }  // namespace dpho::dp

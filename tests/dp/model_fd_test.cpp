@@ -1,6 +1,7 @@
-// Finite-difference cross-check of the AD-tape forces on randomized
-// configurations.  Unlike model_property_test.cpp (which probes one
-// equilibrated frame), this sweeps random ~8-atom frames with mixed species,
+// Finite-difference cross-check of the AD-tape forces (the test oracle) on
+// randomized configurations, with energies from dp::Potential.  Unlike
+// model_property_test.cpp (which probes one equilibrated frame), this sweeps
+// random ~8-atom frames with mixed species,
 // so the check covers neighbor topologies the MD pipeline never visits:
 // near-cutoff pairs, asymmetric coordination, atoms close to the switching
 // shoulder.
@@ -16,11 +17,17 @@
 #include <vector>
 
 #include "dp/model.hpp"
+#include "dp/potential.hpp"
 #include "frame_harness.hpp"
 #include "util/rng.hpp"
 
 namespace dpho::dp {
 namespace {
+
+/// Whole-frame energy through dp::Potential, the one inference path.
+double energy(const DeepPotModel& model, const md::Frame& frame) {
+  return Potential::borrow(model).evaluate(frame).energy;
+}
 
 using test_harness::random_frame;
 using test_harness::random_types;
@@ -56,9 +63,9 @@ TEST_P(FdTier, TapeForcesMatchCentralDifferences) {
     const std::vector<md::Species> types = random_types(rng);
     const DeepPotModel model(small_config(tier.activation), types, 0.0,
                              seed + 40);
-    const md::ForceEnergy fe = model.energy_forces(frame);
+    const md::ForceEnergy fe = model.energy_forces_tape(frame);
     ASSERT_EQ(fe.forces.size(), kAtoms);
-    EXPECT_NEAR(fe.energy, model.energy(frame), 1e-9);
+    EXPECT_NEAR(fe.energy, energy(model, frame), 1e-9);
 
     for (std::size_t a = 0; a < kAtoms; ++a) {
       for (int k = 0; k < 3; ++k) {
@@ -67,7 +74,7 @@ TEST_P(FdTier, TapeForcesMatchCentralDifferences) {
         plus.positions[a][k] += h;
         minus.positions[a][k] -= h;
         const double numeric =
-            -(model.energy(plus) - model.energy(minus)) / (2.0 * h);
+            -(energy(model, plus) - energy(model, minus)) / (2.0 * h);
         const double tolerance =
             std::max(tier.abs, tier.rel * std::max(1.0, std::abs(numeric)));
         EXPECT_NEAR(fe.forces[a][k], numeric, tolerance)
@@ -85,7 +92,7 @@ TEST(ModelFd, FdErrorShrinksWithStepForSmoothActivation) {
   const md::Frame frame = random_frame(rng);
   const std::vector<md::Species> types = random_types(rng);
   const DeepPotModel model(small_config(nn::Activation::kTanh), types, 0.0, 5);
-  const md::ForceEnergy fe = model.energy_forces(frame);
+  const md::ForceEnergy fe = model.energy_forces_tape(frame);
 
   const auto max_error = [&](double h) {
     double worst = 0.0;
@@ -96,7 +103,7 @@ TEST(ModelFd, FdErrorShrinksWithStepForSmoothActivation) {
         plus.positions[a][k] += h;
         minus.positions[a][k] -= h;
         const double numeric =
-            -(model.energy(plus) - model.energy(minus)) / (2.0 * h);
+            -(energy(model, plus) - energy(model, minus)) / (2.0 * h);
         worst = std::max(worst, std::abs(numeric - fe.forces[a][k]));
       }
     }

@@ -1,4 +1,5 @@
 #include "dp/model.hpp"
+#include "dp/potential.hpp"
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,15 @@
 
 namespace dpho::dp {
 namespace {
+
+/// Whole-frame prediction through dp::Potential, the one inference path.
+md::ForceEnergy predict(const DeepPotModel& model, const md::Frame& frame) {
+  return Potential::borrow(model).evaluate(frame);
+}
+
+double energy(const DeepPotModel& model, const md::Frame& frame) {
+  return predict(model, frame).energy;
+}
 
 TrainInput tiny_config() {
   TrainInput config;
@@ -56,16 +66,16 @@ TEST(Model, GatherScatterRoundTrip) {
 TEST(Model, EnergyDoublePathMatchesTapePath) {
   DeepPotModel model(tiny_config(), frame_types(), -2.5, 7);
   const md::Frame frame = sample_frame();
-  const md::ForceEnergy fe = model.energy_forces(frame);
-  EXPECT_NEAR(model.energy(frame), fe.energy, 1e-9);
+  const md::ForceEnergy fe = model.energy_forces_tape(frame);
+  EXPECT_NEAR(energy(model, frame), fe.energy, 1e-9);
 }
 
 TEST(Model, ForcesMatchFiniteDifferenceOfEnergy) {
   DeepPotModel model(tiny_config(), frame_types(), 0.0, 11);
   md::Frame frame = sample_frame();
-  const md::ForceEnergy fe = model.energy_forces(frame);
-  // Use the tape energy at perturbed coordinates so the neighbor topology is
-  // recomputed consistently by energy().
+  const md::ForceEnergy fe = predict(model, frame);
+  // Energies at perturbed coordinates rebuild the neighbor list, so the
+  // topology stays consistent with each displaced frame.
   for (std::size_t a = 0; a < 4; ++a) {
     for (int k = 0; k < 3; ++k) {
       const double h = 1e-5;
@@ -73,7 +83,8 @@ TEST(Model, ForcesMatchFiniteDifferenceOfEnergy) {
       md::Frame minus = frame;
       plus.positions[a][k] += h;
       minus.positions[a][k] -= h;
-      const double numeric = -(model.energy(plus) - model.energy(minus)) / (2.0 * h);
+      const double numeric =
+          -(energy(model, plus) - energy(model, minus)) / (2.0 * h);
       EXPECT_NEAR(fe.forces[a][k], numeric, 5e-3 * std::max(1.0, std::abs(numeric)))
           << "atom " << a << " axis " << k;
     }
@@ -83,9 +94,9 @@ TEST(Model, ForcesMatchFiniteDifferenceOfEnergy) {
 TEST(Model, EnergyInvariantUnderRigidTranslation) {
   DeepPotModel model(tiny_config(), frame_types(), 0.0, 13);
   md::Frame frame = sample_frame();
-  const double base = model.energy(frame);
+  const double base = energy(model, frame);
   for (auto& r : frame.positions) r = r + md::Vec3{0.37, -1.21, 2.45};
-  EXPECT_NEAR(model.energy(frame), base, 1e-8);
+  EXPECT_NEAR(energy(model, frame), base, 1e-8);
 }
 
 TEST(Model, EnergyInvariantUnderGlobalRotation) {
@@ -100,19 +111,19 @@ TEST(Model, EnergyInvariantUnderGlobalRotation) {
   for (auto& r : frame.positions) {
     r = md::Vec3{40.0 + 0.2 * r[0], 40.0 + 0.2 * r[1], 40.0 + 0.2 * r[2]};
   }
-  const double base = model.energy(frame);
+  const double base = energy(model, frame);
   const double c = std::cos(0.7), s = std::sin(0.7);
   for (auto& r : frame.positions) {
     const double x = r[0] - 50.0, y = r[1] - 50.0;
     r = md::Vec3{50.0 + c * x - s * y, 50.0 + s * x + c * y, r[2]};
   }
-  EXPECT_NEAR(model.energy(frame), base, 1e-8);
+  EXPECT_NEAR(energy(model, frame), base, 1e-8);
 }
 
 TEST(Model, EnergyInvariantUnderLikeAtomPermutation) {
   DeepPotModel model(tiny_config(), frame_types(), 0.0, 19);
   md::Frame frame = sample_frame();
-  const double base = model.energy(frame);
+  const double base = energy(model, frame);
   // Swap two Cl atoms (types are [Al Al K Cl...Cl] shuffled; find two equal).
   const auto types = frame_types();
   std::size_t first = types.size(), second = types.size();
@@ -127,7 +138,7 @@ TEST(Model, EnergyInvariantUnderLikeAtomPermutation) {
   }
   ASSERT_LT(second, types.size());
   std::swap(frame.positions[first], frame.positions[second]);
-  EXPECT_NEAR(model.energy(frame), base, 1e-9);
+  EXPECT_NEAR(energy(model, frame), base, 1e-9);
 }
 
 TEST(Model, EnergySmoothAsNeighborCrossesCutoff) {
@@ -135,11 +146,11 @@ TEST(Model, EnergySmoothAsNeighborCrossesCutoff) {
   // continuous (the switching function kills the contribution smoothly).
   DeepPotModel model(tiny_config(), frame_types(), 0.0, 23);
   md::Frame frame = sample_frame();
-  double prev = model.energy(frame);
+  double prev = energy(model, frame);
   double max_jump = 0.0;
   for (int i = 0; i < 60; ++i) {
     frame.positions[0][0] += 0.02;
-    const double e = model.energy(frame);
+    const double e = energy(model, frame);
     max_jump = std::max(max_jump, std::abs(e - prev));
     prev = e;
   }
@@ -155,7 +166,7 @@ TEST(Model, RcutZeroNeighborLimit) {
   frame.positions = {md::Vec3{5.0, 5.0, 5.0}, md::Vec3{45.0, 45.0, 45.0}};
   frame.forces.resize(2);
   frame.energy = 0.0;
-  const md::ForceEnergy fe = model.energy_forces(frame);
+  const md::ForceEnergy fe = predict(model, frame);
   // No neighbors: descriptor is zero; energy = sum of fit(0) + bias terms.
   for (const md::Vec3& f : fe.forces) {
     for (int k = 0; k < 3; ++k) EXPECT_NEAR(f[k], 0.0, 1e-10);
@@ -166,16 +177,16 @@ TEST(Model, RcutZeroNeighborLimit) {
 TEST(Model, SaveLoadRoundTripPreservesPredictions) {
   DeepPotModel model(tiny_config(), frame_types(), -2.0, 31);
   const md::Frame frame = sample_frame();
-  const double before = model.energy(frame);
+  const double before = energy(model, frame);
   const DeepPotModel loaded = DeepPotModel::load(model.save());
-  EXPECT_NEAR(loaded.energy(frame), before, 1e-12);
+  EXPECT_NEAR(energy(loaded, frame), before, 1e-12);
 }
 
 TEST(Model, DifferentSeedsGiveDifferentInitialModels) {
   DeepPotModel a(tiny_config(), frame_types(), 0.0, 1);
   DeepPotModel b(tiny_config(), frame_types(), 0.0, 2);
   const md::Frame frame = sample_frame();
-  EXPECT_NE(a.energy(frame), b.energy(frame));
+  EXPECT_NE(energy(a, frame), energy(b, frame));
 }
 
 TEST(Model, ActivationChoiceChangesPrediction) {
@@ -185,7 +196,7 @@ TEST(Model, ActivationChoiceChangesPrediction) {
   DeepPotModel a(tanh_config, frame_types(), 0.0, 3);
   DeepPotModel b(relu_config, frame_types(), 0.0, 3);
   const md::Frame frame = sample_frame();
-  EXPECT_NE(a.energy(frame), b.energy(frame));
+  EXPECT_NE(energy(a, frame), energy(b, frame));
 }
 
 }  // namespace

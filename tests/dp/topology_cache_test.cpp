@@ -1,10 +1,11 @@
-// TopologyCache: cached neighbor topologies must equal fresh
-// build_topology() output entry for entry, and lookups past the warmed
-// range must fail loudly.
+// TopologyCache: cached geometries must equal a fresh build_frame_geometry()
+// bit for bit, predictions from them must match whole-frame evaluation, and
+// lookups past the warmed range must fail loudly.
 #include "dp/topology_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include "dp/potential.hpp"
 #include "hpc/thread_pool.hpp"
 #include "md/simulation.hpp"
 #include "util/error.hpp"
@@ -44,17 +45,23 @@ class TopologyCacheSuite : public ::testing::Test {
 
 md::LabelledData* TopologyCacheSuite::data_ = nullptr;
 
-void expect_same_topology(const NeighborTopology& got, const NeighborTopology& want) {
-  ASSERT_EQ(got.entries.size(), want.entries.size());
-  for (std::size_t a = 0; a < got.entries.size(); ++a) {
-    ASSERT_EQ(got.entries[a].size(), want.entries[a].size()) << "atom " << a;
-    for (std::size_t n = 0; n < got.entries[a].size(); ++n) {
-      EXPECT_EQ(got.entries[a][n].j, want.entries[a][n].j);
-      for (std::size_t k = 0; k < 3; ++k) {
-        EXPECT_EQ(got.entries[a][n].shift[k], want.entries[a][n].shift[k]);
-      }
-    }
-  }
+void expect_same_geometry(const FrameGeometry& got, const FrameGeometry& want) {
+  EXPECT_EQ(got.num_atoms, want.num_atoms);
+  EXPECT_EQ(got.net_offsets, want.net_offsets);
+  EXPECT_EQ(got.center, want.center);
+  EXPECT_EQ(got.j, want.j);
+  EXPECT_EQ(got.r, want.r);
+  EXPECT_EQ(got.s, want.s);
+  EXPECT_EQ(got.ds_dr, want.ds_dr);
+  EXPECT_EQ(got.ux, want.ux);
+  EXPECT_EQ(got.uy, want.uy);
+  EXPECT_EQ(got.uz, want.uz);
+}
+
+FrameGeometry fresh_geometry(const DeepPotModel& model, const md::Frame& frame) {
+  FrameGeometry geometry;
+  build_frame_geometry(model, frame, geometry);
+  return geometry;
 }
 
 TEST_F(TopologyCacheSuite, MatchesFreshBuildTopology) {
@@ -63,7 +70,8 @@ TEST_F(TopologyCacheSuite, MatchesFreshBuildTopology) {
   cache.warm(model, data_->train, data_->train.size());
   ASSERT_EQ(cache.size(), data_->train.size());
   for (std::size_t i = 0; i < data_->train.size(); ++i) {
-    expect_same_topology(cache.at(i), model.build_topology(data_->train.frame(i)));
+    expect_same_geometry(cache.geometry_at(i),
+                         fresh_geometry(model, data_->train.frame(i)));
   }
 }
 
@@ -76,7 +84,7 @@ TEST_F(TopologyCacheSuite, ParallelWarmMatchesSerialWarm) {
   threaded.warm(model, data_->train, data_->train.size(), &pool);
   ASSERT_EQ(threaded.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_same_topology(threaded.at(i), serial.at(i));
+    expect_same_geometry(threaded.geometry_at(i), serial.geometry_at(i));
   }
 }
 
@@ -85,23 +93,25 @@ TEST_F(TopologyCacheSuite, WarmClampsAndExtends) {
   TopologyCache cache;
   cache.warm(model, data_->train, 2);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_THROW(cache.at(2), util::ValueError);
+  EXPECT_THROW(cache.geometry_at(2), util::ValueError);
   // Extending covers the remaining frames; re-warming is a no-op.
   cache.warm(model, data_->train, data_->train.size() + 100);
   EXPECT_EQ(cache.size(), data_->train.size());
   cache.warm(model, data_->train, 1);
   EXPECT_EQ(cache.size(), data_->train.size());
-  expect_same_topology(cache.at(cache.size() - 1),
-                       model.build_topology(data_->train.frame(cache.size() - 1)));
+  const std::size_t last = cache.size() - 1;
+  expect_same_geometry(cache.geometry_at(last),
+                       fresh_geometry(model, data_->train.frame(last)));
 }
 
 TEST_F(TopologyCacheSuite, PredictionsWithCachedTopologyMatch) {
   const DeepPotModel model = tiny_model();
   TopologyCache cache;
   cache.warm(model, data_->train, data_->train.size());
+  const Potential potential = Potential::borrow(model);
   const md::Frame& frame = data_->train.frame(0);
-  const md::ForceEnergy fresh = model.energy_forces(frame);
-  const md::ForceEnergy cached = model.energy_forces(frame, cache.at(0));
+  const md::ForceEnergy fresh = potential.evaluate(frame);
+  const md::ForceEnergy cached = potential.evaluate(cache.geometry_at(0));
   EXPECT_EQ(fresh.energy, cached.energy);
   ASSERT_EQ(fresh.forces.size(), cached.forces.size());
   for (std::size_t a = 0; a < fresh.forces.size(); ++a) {

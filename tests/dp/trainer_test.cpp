@@ -181,59 +181,6 @@ TEST_F(TrainerSuite, InjectedPoolMatchesOwnedPool) {
   expect_bit_identical_lcurves(result_owned, result_injected);
 }
 
-TEST_F(TrainerSuite, BackwardModeNamesRoundTrip) {
-  EXPECT_EQ(to_string(BackwardMode::kTape), "tape");
-  EXPECT_EQ(to_string(BackwardMode::kAnalytic), "analytic");
-  EXPECT_EQ(parse_backward_mode("tape"), BackwardMode::kTape);
-  EXPECT_EQ(parse_backward_mode("analytic"), BackwardMode::kAnalytic);
-  EXPECT_THROW(parse_backward_mode("autodiff"), util::ValueError);
-  EXPECT_THROW(parse_backward_mode(""), util::ValueError);
-}
-
-TEST_F(TrainerSuite, TapeOracleModeTracksAnalyticDefault) {
-  // backward_mode=tape keeps the scalar tape as a differentiation oracle for
-  // the full training loop: same seed, same schedule, gradients agreeing to
-  // rounding.  Over a short run the two lcurves must stay in tight agreement
-  // (not bit-identical -- summation orders differ -- but far closer than any
-  // real hyperparameter effect).
-  const TrainInput config = tiny_config(20);
-  Trainer analytic(config, data_->train, data_->validation);
-  const TrainResult analytic_result = analytic.train();
-
-  TrainerOptions options;
-  options.backward_mode = BackwardMode::kTape;
-  Trainer tape(config, data_->train, data_->validation, options);
-  const TrainResult tape_result = tape.train();
-
-  EXPECT_EQ(tape_result.steps_completed, analytic_result.steps_completed);
-  ASSERT_EQ(tape_result.lcurve.rows().size(),
-            analytic_result.lcurve.rows().size());
-  for (std::size_t i = 0; i < tape_result.lcurve.rows().size(); ++i) {
-    const LcurveRow& rt = tape_result.lcurve.rows()[i];
-    const LcurveRow& ra = analytic_result.lcurve.rows()[i];
-    EXPECT_NEAR(rt.rmse_e_val, ra.rmse_e_val, 1e-4 * std::abs(ra.rmse_e_val))
-        << "row " << i;
-    EXPECT_NEAR(rt.rmse_f_val, ra.rmse_f_val, 1e-4 * std::abs(ra.rmse_f_val))
-        << "row " << i;
-  }
-}
-
-TEST_F(TrainerSuite, TapeModeParallelLcurveBitIdenticalToSerial) {
-  // The determinism contract holds within each backward mode independently.
-  TrainInput config = tiny_config(12);
-  config.training.batch_size = 4;
-  TrainerOptions serial_options;
-  serial_options.backward_mode = BackwardMode::kTape;
-  Trainer serial(config, data_->train, data_->validation, serial_options);
-  const TrainResult serial_result = serial.train();
-
-  TrainerOptions threaded_options;
-  threaded_options.backward_mode = BackwardMode::kTape;
-  threaded_options.num_threads = 3;
-  Trainer threaded(config, data_->train, data_->validation, threaded_options);
-  expect_bit_identical_lcurves(serial_result, threaded.train());
-}
-
 TEST_F(TrainerSuite, WorkerScalingAffectsEffectiveLr) {
   TrainInput linear = tiny_config(10);
   linear.learning_rate.scale_by_worker = nn::LrScaling::kLinear;

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <vector>
+
+#include "md/session.hpp"
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -11,20 +15,27 @@
 namespace dpho::md {
 namespace {
 
+/// A 10-atom system stepped through a ReferenceSession, the same
+/// session-plus-VelocityVerlet path every MD driver uses.
 struct MiniSystem {
   SystemState state;
-  ReferencePotential potential{3.9};
+  std::optional<ReferenceSession> session;
+  std::vector<Vec3> forces;
+  double potential_energy = 0.0;
 
   explicit MiniSystem(std::uint64_t seed, double temperature = 300.0) {
     util::Rng rng(seed);
     const SystemSpec spec = SystemSpec::scaled_system(1);  // 10 atoms
     state = spec.create_initial_state(temperature, rng);
-    potential = ReferencePotential(0.45 * spec.box_length());
+    session.emplace(ReferencePotential(0.45 * spec.box_length()));
+    forces.resize(state.size());
+    potential_energy = session->compute(state, forces);
   }
 
-  ForceProvider provider() {
-    return [this](const SystemState& s) { return potential.compute(s); };
+  void step(const VelocityVerlet& integrator) {
+    potential_energy = integrator.step(state, *session, forces);
   }
+  double total_energy() const { return potential_energy + kinetic_energy(state); }
 };
 
 TEST(VelocityVerlet, RejectsNonPositiveTimestep) {
@@ -35,14 +46,11 @@ TEST(VelocityVerlet, RejectsNonPositiveTimestep) {
 TEST(VelocityVerlet, ConservesEnergyInNve) {
   MiniSystem sys(21, 200.0);
   const VelocityVerlet integrator(0.5);  // fs
-  auto forces = sys.provider();
-  ForceEnergy current = forces(sys.state);
-  const double e0 = current.energy + kinetic_energy(sys.state);
+  const double e0 = sys.total_energy();
   double max_drift = 0.0;
   for (int step = 0; step < 400; ++step) {
-    current = integrator.step(sys.state, forces, current);
-    const double e = current.energy + kinetic_energy(sys.state);
-    max_drift = std::max(max_drift, std::abs(e - e0));
+    sys.step(integrator);
+    max_drift = std::max(max_drift, std::abs(sys.total_energy() - e0));
   }
   // Shifted-force potential + Verlet: drift well below 1% of kinetic energy.
   const double scale = std::max(1.0, std::abs(kinetic_energy(sys.state)));
@@ -52,18 +60,12 @@ TEST(VelocityVerlet, ConservesEnergyInNve) {
 TEST(VelocityVerlet, TimeReversible) {
   MiniSystem sys(23, 150.0);
   const VelocityVerlet integrator(0.5);
-  auto forces = sys.provider();
   const SystemState initial = sys.state;
-  ForceEnergy current = forces(sys.state);
-  for (int step = 0; step < 50; ++step) {
-    current = integrator.step(sys.state, forces, current);
-  }
-  // Reverse velocities and integrate back.
+  for (int step = 0; step < 50; ++step) sys.step(integrator);
+  // Reverse velocities and integrate back (the forces at the current
+  // positions stay valid).
   for (auto& v : sys.state.velocities) v = v * -1.0;
-  current = forces(sys.state);
-  for (int step = 0; step < 50; ++step) {
-    current = integrator.step(sys.state, forces, current);
-  }
+  for (int step = 0; step < 50; ++step) sys.step(integrator);
   for (std::size_t i = 0; i < initial.size(); ++i) {
     for (int k = 0; k < 3; ++k) {
       EXPECT_NEAR(sys.state.positions[i][k], initial.positions[i][k], 1e-6);
@@ -77,11 +79,9 @@ TEST(Langevin, RelaxesTowardTargetTemperature) {
   const VelocityVerlet integrator(1.0);
   util::Rng rng(30);
   LangevinThermostat thermostat(target, 0.05, rng.spawn(1));
-  auto forces = sys.provider();
-  ForceEnergy current = forces(sys.state);
   std::vector<double> temps;
   for (int step = 0; step < 2000; ++step) {
-    current = integrator.step(sys.state, forces, current);
+    sys.step(integrator);
     thermostat.apply(sys.state, 1.0);
     if (step > 1000) temps.push_back(kinetic_temperature(sys.state));
   }

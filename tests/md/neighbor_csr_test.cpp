@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <vector>
 
 #include "md/neighbor.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace dpho::md {
@@ -126,6 +128,42 @@ TEST(NeighborCsr, CoincidentAndIsolatedAtoms) {
   EXPECT_EQ(list.neighbors_of(3)[0].index, 2u);
   EXPECT_TRUE(list.neighbors_of(4).empty());
   EXPECT_DOUBLE_EQ(list.mean_neighbors(), 2.0 / 5.0);
+}
+
+TEST(NeighborCsr, DiluteBoxesCapCellsAndKeepParity) {
+  // 160 atoms at rcut 6: uncapped, a 2000 A box would bin into 333^3 cells
+  // (~300 MB), a 1e5 A box would not fit in memory, and a 1e300 A box would
+  // overflow the cells-per-side integer conversion.  The cap keeps each one
+  // at floor(cbrt(8 * 160 + 27)) = 10 cells per side.
+  util::Rng rng(303);
+  for (const double box_length : {2000.0, 1e5, 1e300}) {
+    const Box box(box_length);
+    expect_matches_brute(box, random_positions(160, box_length, rng), 6.0,
+                         /*expect_cells=*/true);
+  }
+  // A dilute box with real pairs: atoms clustered in one corner.
+  const Box box(2000.0);
+  std::vector<Vec3> clustered = random_positions(160, 20.0, rng);
+  expect_matches_brute(box, clustered, 6.0, /*expect_cells=*/true);
+}
+
+TEST(NeighborCsr, RejectsNonFiniteGeometry) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Box{nan}, util::ValueError);
+  EXPECT_THROW(Box{inf}, util::ValueError);
+  EXPECT_THROW(Box{-inf}, util::ValueError);
+
+  const Box box(20.0);
+  for (const double bad : {nan, inf, -inf}) {
+    std::vector<Vec3> positions = {{1, 1, 1}, {2, 2, 2}, {3, 3, 3}};
+    positions[1][2] = bad;
+    EXPECT_THROW(NeighborList(box, positions, 2.0), util::ValueError);
+    NeighborList list;
+    EXPECT_THROW(list.build(box, positions, 2.0, NeighborBuild::kBruteForce),
+                 util::ValueError);
+  }
+  EXPECT_THROW(NeighborList(box, {{1, 1, 1}}, nan), util::ValueError);
 }
 
 }  // namespace

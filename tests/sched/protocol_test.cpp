@@ -220,6 +220,15 @@ TEST(SchedProtocol, DecoderRejectsStructuralGarbage) {
                  m["id"] = -1.0;
                })),
                util::ValueError);
+  // Ids and counts must be wire-exact integers: casting 1e30 is undefined.
+  for (const double bad : {1e30, 0x1p53, 2.5}) {
+    EXPECT_THROW(decode_submit_request(mutate([&](util::Json& m) { m["id"] = bad; })),
+                 util::ValueError);
+    EXPECT_THROW(decode_submit_request(mutate([&](util::Json& m) {
+                   m["spec"]["population_size"] = bad;
+                 })),
+                 util::ValueError);
+  }
   // A failed status must carry its error; an active one must not need it.
   util::Json failed = run_status_to_json(sample_status());
   failed["phase"] = to_string(RunPhase::kFailed);

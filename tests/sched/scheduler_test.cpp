@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <unistd.h>
+
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,7 +18,9 @@
 #include "core/driver.hpp"
 #include "core/evaluator.hpp"
 #include "core/experiment.hpp"
+#include "hpc/net/frame.hpp"
 #include "obs/report.hpp"
+#include "sched/server.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
@@ -171,6 +176,37 @@ TEST(Scheduler, RefusalsCarryTypedCodes) {
   scheduler.submit(quick_spec("second", 2));
   drive(scheduler);
   EXPECT_EQ(scheduler.known_runs(), 2u);
+}
+
+TEST(Scheduler, ServerRefusesOutOfRangeRequestIds) {
+  // The daemon recovers a request's id before decoding it, so even a refusal
+  // can be correlated; an id no double carries exactly (or a non-integer) is
+  // never cast, and the decoder refuses it under id 0.
+  const auto evaluator = core::make_evaluator(core::EvalBackendConfig{});
+  util::TempDir dir("sched-ids");
+  Server server(ServerOptions{.scheduler = options_in(dir.path())}, *evaluator);
+  server.start();
+  const int fd = hpc::net::connect_loopback(server.port());
+  const auto ask = [&](const util::Json& message) {
+    EXPECT_TRUE(hpc::net::write_frame(fd, message.dump()));
+    pollfd reply{fd, POLLIN, 0};
+    for (int round = 0; round < 5000 && ::poll(&reply, 1, 0) == 0; ++round) {
+      server.poll_once();
+    }
+    return decode_error(util::Json::parse(hpc::net::read_frame(fd).value()));
+  };
+
+  util::Json status = encode_status_request(StatusRequest{7, "ghost", false});
+  const ErrorReply unknown = ask(status);
+  EXPECT_EQ(unknown.id, 7u);
+  EXPECT_EQ(unknown.code, ErrorCode::kUnknownRun);
+  for (const double bad : {1e30, 0x1p53, 2.5, -1.0}) {
+    status["id"] = bad;
+    const ErrorReply refused = ask(status);
+    EXPECT_EQ(refused.id, 0u) << bad;
+    EXPECT_EQ(refused.code, ErrorCode::kBadRequest) << bad;
+  }
+  ::close(fd);
 }
 
 TEST(Scheduler, CancelLeavesTheOtherTenantUntouched) {

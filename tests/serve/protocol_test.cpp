@@ -157,6 +157,11 @@ TEST(ServeProtocol, DecoderRejectsStructuralGarbage) {
                util::ParseError);
   EXPECT_THROW(decode_eval_request(mutate([](util::Json& m) { m["id"] = -3.0; })),
                util::ValueError);
+  // Ids must be wire-exact integers: casting 1e30 to uint64 is undefined.
+  for (const double bad : {1e30, 0x1p53, 2.5}) {
+    EXPECT_THROW(decode_eval_request(mutate([&](util::Json& m) { m["id"] = bad; })),
+                 util::ValueError);
+  }
 
   // Batch ceiling: kMaxBatchFrames + 1 minimal frames.
   util::Json huge = valid;

@@ -209,6 +209,67 @@ TEST(Server, WrongAtomCountGetsBadRequest) {
   server.stop();
 }
 
+TEST(Server, InvalidGeometryGetsBadRequest) {
+  util::TempDir dir;
+  const dp::ModelArchive archive = make_archive(dir.path() / "a", 1);
+  Server server({.archive_dir = dir.path() / "a"});
+  server.start();
+  ClientFd client(server.port());
+  const auto expect_bad_request = [&](const util::Json& wire, std::uint64_t id) {
+    ASSERT_EQ(message_type(wire), kMsgError) << wire.dump();
+    const ErrorReply error = decode_error(wire);
+    EXPECT_EQ(error.id, id);
+    EXPECT_EQ(error.code, ErrorCode::kBadRequest) << error.message;
+  };
+
+  // A box under twice the model's 3.2 A cutoff cannot hold a neighbor list.
+  EvalRequest small_box = make_request(21, "m0", 4, 1);
+  small_box.frames[0].box_length = 5.0;
+  expect_bad_request(exchange(client.fd, encode_eval_request(small_box)), 21);
+
+  // JSON's 1e999 parses to infinity: a non-finite coordinate.
+  EvalRequest infinite = make_request(22, "m0", 4, 1);
+  infinite.frames[0].positions[0][0] = 12345.5;
+  std::string text = encode_eval_request(infinite).dump();
+  text.replace(text.find("12345.5"), 7, "1e999");
+  ASSERT_TRUE(hpc::net::write_frame(client.fd, text));
+  expect_bad_request(util::Json::parse(*hpc::net::read_frame(client.fd)), 22);
+
+  // A huge but finite box is valid input: an isolated cluster.
+  EvalRequest huge_box = make_request(23, "m0", 4, 1);
+  huge_box.frames[0].box_length = 1e300;
+  EXPECT_TRUE(reply_matches_direct(
+      archive, huge_box, exchange(client.fd, encode_eval_request(huge_box))));
+  server.stop();
+}
+
+TEST(Server, OutOfRangeRequestIdIsRefused) {
+  util::TempDir dir;
+  const dp::ModelArchive archive = make_archive(dir.path() / "a", 1);
+  Server server({.archive_dir = dir.path() / "a"});
+  server.start();
+  ClientFd client(server.port());
+
+  // Ids a double cannot carry exactly (or that are not integers) are
+  // refused under id 0 before any cast, for eval and catalog alike.
+  util::Json eval = encode_eval_request(make_request(1, "m0", 6, 1));
+  util::Json catalog = encode_catalog_request(1);
+  for (util::Json* message : {&eval, &catalog}) {
+    for (const double bad : {1e30, 0x1p53, 2.5, -1.0}) {
+      (*message)["id"] = bad;
+      const util::Json wire = exchange(client.fd, *message);
+      ASSERT_EQ(message_type(wire), kMsgError) << wire.dump();
+      EXPECT_EQ(decode_error(wire).id, 0u);
+      EXPECT_EQ(decode_error(wire).code, ErrorCode::kBadRequest);
+    }
+  }
+  // The largest wire-exact id is still served and echoed.
+  const EvalRequest largest = make_request((std::uint64_t{1} << 53) - 1, "m0", 6, 1);
+  EXPECT_TRUE(reply_matches_direct(
+      archive, largest, exchange(client.fd, encode_eval_request(largest))));
+  server.stop();
+}
+
 TEST(Server, MalformedJsonKeepsTheConnectionUsable) {
   util::TempDir dir;
   const dp::ModelArchive archive = make_archive(dir.path() / "a", 1);
