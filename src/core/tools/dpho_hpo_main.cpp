@@ -30,22 +30,8 @@
 #include "obs/event_sink.hpp"
 #include "obs/metrics.hpp"
 #include "util/args.hpp"
+#include "util/error.hpp"
 #include "util/fs.hpp"
-
-namespace {
-
-// The dpho_worker binary normally sits next to dpho_hpo in the build tree;
-// resolve it relative to the running executable so `dpho_hpo --cluster
-// process` works from any CWD without flags.
-std::filesystem::path default_worker_binary() {
-  std::error_code ec;
-  const std::filesystem::path self =
-      std::filesystem::read_symlink("/proc/self/exe", ec);
-  if (ec) return "dpho_worker";
-  return self.parent_path() / "dpho_worker";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dpho;
@@ -132,9 +118,7 @@ int main(int argc, char** argv) {
       hpc::cluster_backend_from_string(backend.cluster);
   if (config.driver.cluster_backend.kind == hpc::ClusterBackendKind::kProcess) {
     hpc::ProcessClusterConfig& process = config.driver.cluster_backend.process;
-    process.worker_binary = backend.worker_binary.empty()
-                                ? default_worker_binary()
-                                : std::filesystem::path(backend.worker_binary);
+    process.worker_binary = backend.worker_binary;
     process.num_workers = backend.workers;
     // Ship the same backend configuration the local evaluator uses, so a
     // process-cluster run reproduces the sim run's fitness bit for bit.
@@ -180,7 +164,14 @@ int main(int argc, char** argv) {
   for (std::size_t seed = 1; seed <= runs; ++seed) config.seeds.push_back(seed);
 
   core::ExperimentRunner runner(config, *evaluator);
-  const std::vector<core::RunRecord> results = runner.run_all();
+  std::vector<core::RunRecord> results;
+  try {
+    results = runner.run_all();
+  } catch (const util::ValueError& e) {
+    // E.g. a --worker-binary the process cluster refuses.
+    std::fprintf(stderr, "dpho_hpo: %s\n", e.what());
+    return 2;
+  }
   if (!quiet) {
     for (const auto& run : results) {
       std::printf("%s run %llu: %zu evaluations in %.0f simulated minutes"

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <utility>
 
 #include "util/error.hpp"
 
@@ -35,18 +34,6 @@ void set_cloexec(int fd) {
 }  // namespace
 
 Listener::~Listener() { close(); }
-
-Listener::Listener(Listener&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), port_(std::exchange(other.port_, 0)) {}
-
-Listener& Listener::operator=(Listener&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    port_ = std::exchange(other.port_, 0);
-  }
-  return *this;
-}
 
 void Listener::open() {
   close();
@@ -150,15 +137,16 @@ bool write_frame(int fd, const std::string& payload) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // Local sockets drain fast; wait for writability rather than spin.
+      // Local sockets drain fast; wait for writability rather than spin.  A
+      // peer that accepts no byte for a whole second is not reading its
+      // replies: give up instead of stalling the caller's loop for ever.
       fd_set writable;
       FD_ZERO(&writable);
       FD_SET(fd, &writable);
       timeval tv{1, 0};
-      if (::select(fd + 1, nullptr, &writable, nullptr, &tv) < 0 &&
-          errno != EINTR) {
-        throw_errno("frame select");
-      }
+      const int ready = ::select(fd + 1, nullptr, &writable, nullptr, &tv);
+      if (ready < 0 && errno != EINTR) throw_errno("frame select");
+      if (ready == 0) return false;
       continue;
     }
     if (n < 0 && (errno == EPIPE || errno == ECONNRESET)) return false;

@@ -1,18 +1,18 @@
 // Length-prefixed message framing over local TCP sockets.
 //
-// The wire layer of hpc::ProcessCluster: the scheduler listens on a loopback
-// ephemeral port, each dpho_worker subprocess connects back, and both sides
-// exchange frames -- a 4-byte big-endian length followed by that many bytes
-// of compact JSON.  The framing is deliberately dumb: no versioning beyond
-// the JSON payload's "t" tag, no compression, no TLS -- workers are local
-// children of the scheduler process, exactly like the paper's one-node Dask
-// deployment (section 2.2.5) where scheduler and workers share the batch
-// node.
+// The transport of every daemon in the repo -- dp_serve, dpho_sched and the
+// hpc::ProcessCluster scheduler with its dpho_worker children: a loopback
+// listener on an ephemeral port, and frames of a 4-byte big-endian length
+// followed by that many bytes of compact JSON.  The framing is deliberately
+// dumb: no versioning beyond the JSON payload's "t" tag (net/wire.hpp), no
+// compression, no TLS -- every peer is local, exactly like the paper's
+// one-node Dask deployment (section 2.2.5) where scheduler and workers share
+// the batch node.
 //
-// All reads are non-blocking and poll-driven: FrameReader accumulates
-// whatever bytes are available and yields complete frames, so the scheduler
-// event loop can multiplex many workers plus heartbeat/watchdog deadlines
-// from a single thread.
+// Server-side reads are non-blocking: FrameReader accumulates whatever bytes
+// are available and yields complete frames, and net::Loop (net/loop.hpp)
+// polls the listener and every connection's reader from one thread.  Clients
+// and workers use the blocking read_frame.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +33,6 @@ class Listener {
  public:
   Listener() = default;
   ~Listener();
-  Listener(Listener&& other) noexcept;
-  Listener& operator=(Listener&& other) noexcept;
   Listener(const Listener&) = delete;
   Listener& operator=(const Listener&) = delete;
 
@@ -72,7 +70,9 @@ void set_nonblocking(int fd);
 /// Writes one complete frame (length prefix + payload).  Blocks until the
 /// frame is fully queued (local sockets: effectively immediate) and returns
 /// false when the peer is gone (EPIPE/ECONNRESET) instead of raising
-/// SIGPIPE.  Throws util::IoError on unexpected errors.
+/// SIGPIPE -- or, on a non-blocking fd, when the peer accepted no byte for
+/// one second (it is not reading; the frame may be half sent, so the caller
+/// must drop the connection).  Throws util::IoError on unexpected errors.
 bool write_frame(int fd, const std::string& payload);
 
 /// Reads one complete frame from a *blocking* fd (the worker side's view of

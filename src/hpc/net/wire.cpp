@@ -1,17 +1,87 @@
 #include "hpc/net/wire.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
+#include "hpc/net/frame.hpp"
 #include "util/error.hpp"
 
 namespace dpho::hpc::net {
 
+util::Json tagged(const char* type, std::uint64_t id) {
+  util::Json msg;
+  msg["t"] = type;
+  msg["id"] = id;
+  return msg;
+}
+
 std::string message_type(const util::Json& message) {
-  if (!message.is_object() || !message.contains("t")) {
+  if (!message.is_object() || !message.contains("t") ||
+      !message.at("t").is_string()) {
     throw util::ParseError("wire message without a \"t\" tag");
   }
   return message.at("t").as_string();
+}
+
+void expect_type(const util::Json& message, const char* tag) {
+  const std::string type = message_type(message);
+  if (type != tag) {
+    throw util::ParseError("wire message: expected t=" + std::string(tag) +
+                           ", got t=" + type);
+  }
+}
+
+std::uint64_t uint_field(const util::Json& message, const std::string& key) {
+  if (!message.contains(key) || !message.at(key).is_number()) {
+    throw util::ParseError("wire message: missing numeric field " + key);
+  }
+  const double value = message.at(key).as_number();
+  // Below 2^53 every integer is exact in a double and the cast is defined.
+  if (!(value >= 0.0 && value < 0x1p53) || value != std::floor(value)) {
+    throw util::ValueError("wire message: field " + key +
+                           " must be an integer in [0, 2^53)");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+const std::string& string_field(const util::Json& message,
+                                const std::string& key) {
+  if (!message.contains(key) || !message.at(key).is_string()) {
+    throw util::ParseError("wire message: missing string field " + key);
+  }
+  return message.at(key).as_string();
+}
+
+std::uint64_t request_id(const util::Json& message) {
+  if (!message.is_object() || !message.contains("id") ||
+      !message.at("id").is_number()) {
+    return 0;
+  }
+  return uint_field(message, "id");
+}
+
+util::Json encode_error(const ErrorEnvelope& error) {
+  util::Json msg = tagged(kMsgError, error.id);
+  msg["code"] = error.code;
+  msg["message"] = error.message;
+  return msg;
+}
+
+ErrorEnvelope decode_error(const util::Json& message) {
+  expect_type(message, kMsgError);
+  return ErrorEnvelope{uint_field(message, "id"), string_field(message, "code"),
+                       string_field(message, "message")};
+}
+
+util::Json exchange(int fd, const util::Json& request) {
+  if (!write_frame(fd, request.dump())) {
+    throw util::IoError("the daemon closed the connection");
+  }
+  const std::optional<std::string> reply = read_frame(fd);
+  if (!reply) throw util::IoError("connection lost awaiting the reply");
+  return util::Json::parse(*reply);
 }
 
 std::string encode_u64(std::uint64_t value) {
@@ -60,9 +130,7 @@ util::Json encode_heartbeat(std::uint64_t seq) {
 }
 
 util::Json encode_task(const TaskSpec& spec, double straggler_seconds) {
-  util::Json msg;
-  msg["t"] = kMsgTask;
-  msg["id"] = spec.id;
+  util::Json msg = tagged(kMsgTask, spec.id);
   util::JsonArray genome;
   for (double gene : spec.genome) genome.emplace_back(gene);
   msg["genome"] = util::Json(std::move(genome));
@@ -73,9 +141,7 @@ util::Json encode_task(const TaskSpec& spec, double straggler_seconds) {
 }
 
 util::Json encode_result(std::size_t id, const WorkResult& result) {
-  util::Json msg;
-  msg["t"] = kMsgResult;
-  msg["id"] = id;
+  util::Json msg = tagged(kMsgResult, id);
   util::JsonArray fitness;
   for (double f : result.fitness) fitness.emplace_back(f);
   msg["fitness"] = util::Json(std::move(fitness));
@@ -93,12 +159,12 @@ util::Json encode_shutdown() {
 }
 
 std::size_t hello_token(const util::Json& message) {
-  return static_cast<std::size_t>(message.at("token").as_int());
+  return uint_field(message, "token");
 }
 
 TaskSpec decode_task(const util::Json& message) {
   TaskSpec spec;
-  spec.id = static_cast<std::size_t>(message.at("id").as_int());
+  spec.id = uint_field(message, "id");
   for (const util::Json& gene : message.at("genome").as_array()) {
     spec.genome.push_back(gene.as_number());
   }
@@ -112,7 +178,7 @@ double task_straggler_seconds(const util::Json& message) {
 }
 
 std::size_t result_id(const util::Json& message) {
-  return static_cast<std::size_t>(message.at("id").as_int());
+  return uint_field(message, "id");
 }
 
 WorkResult decode_result(const util::Json& message) {
@@ -123,7 +189,8 @@ WorkResult decode_result(const util::Json& message) {
   result.sim_minutes = message.at("sim_minutes").as_number();
   result.training_error = message.at("training_error").as_bool();
   result.cause = failure_cause_from_string(message.at("cause").as_string());
-  result.attempts = static_cast<std::size_t>(message.number_or("attempts", 1.0));
+  result.attempts =
+      message.contains("attempts") ? uint_field(message, "attempts") : 1;
   return result;
 }
 

@@ -1,7 +1,14 @@
-// Message codec for the scheduler <-> worker wire protocol.
+// The "t"-tagged JSON message layer shared by every daemon in the repo.
 //
 // Every frame payload (net/frame.hpp) is one compact JSON object tagged by
-// "t".  The vocabulary is deliberately small:
+// "t".  dp_serve, dpho_sched and the process-cluster workers each speak their
+// own vocabulary, but they decode it with the helpers below: the tag, the
+// integer and string fields, the request id a refusal still carries, and the
+// one error envelope
+//
+//   {"t":"error","id":7,"code":"<protocol's ErrorCode>","message":"..."}
+//
+// The scheduler <-> worker vocabulary of hpc::ProcessCluster also lives here:
 //
 //   worker -> scheduler
 //     {"t":"hello","token":3,"pid":4711}     first frame after connect
@@ -18,6 +25,10 @@
 // hold a 64-bit seed losslessly.  straggler_seconds is the real injection
 // backend of FaultKind::kStraggler -- the worker sleeps that long before
 // evaluating, exactly where the simulator multiplies the runtime.
+//
+// Decoders throw util::ParseError (missing or ill-typed fields) or
+// util::ValueError (out-of-contract values) and never cast an unchecked
+// number: ids and counts go through uint_field.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +40,7 @@
 namespace dpho::hpc::net {
 
 /// Message type tags ("t" values).
+inline constexpr const char* kMsgError = "error";
 inline constexpr const char* kMsgHello = "hello";
 inline constexpr const char* kMsgInit = "init";
 inline constexpr const char* kMsgHeartbeat = "hb";
@@ -36,8 +48,45 @@ inline constexpr const char* kMsgTask = "task";
 inline constexpr const char* kMsgResult = "result";
 inline constexpr const char* kMsgShutdown = "shutdown";
 
-/// The "t" tag of a decoded message; throws util::ParseError when missing.
+/// {"t":type,"id":id} -- the head of every request and reply that carries a
+/// correlation id.
+util::Json tagged(const char* type, std::uint64_t id);
+
+/// The "t" tag of a decoded message; throws util::ParseError unless the
+/// message is an object whose "t" is a string.
 std::string message_type(const util::Json& message);
+
+/// Throws util::ParseError unless the message's "t" tag is `tag`.
+void expect_type(const util::Json& message, const char* tag);
+
+/// A non-negative integer field (ids, counts); throws util::ParseError when
+/// the field is missing or not a number, util::ValueError when it is
+/// negative, fractional or 2^53 or more.
+std::uint64_t uint_field(const util::Json& message, const std::string& key);
+
+/// A string field; throws util::ParseError when missing or not a string.
+const std::string& string_field(const util::Json& message,
+                                const std::string& key);
+
+/// The correlation id of a request, recovered before the request is decoded
+/// so that even a refusal can carry it: 0 when "id" is absent or not a
+/// number; util::ValueError when it is a number outside uint_field's range.
+std::uint64_t request_id(const util::Json& message);
+
+/// The error reply of every daemon.  Each protocol maps `code` onto its own
+/// ErrorCode enum.
+struct ErrorEnvelope {
+  std::uint64_t id = 0;  // 0 when the offending request yielded no id
+  std::string code;
+  std::string message;
+};
+
+util::Json encode_error(const ErrorEnvelope& error);
+ErrorEnvelope decode_error(const util::Json& message);
+
+/// One blocking request/reply round trip on a client's blocking fd; throws
+/// util::IoError when the daemon closed the connection.
+util::Json exchange(int fd, const util::Json& request);
 
 /// Lossless 64-bit <-> hex-string conversion for seeds (JSON numbers are
 /// doubles).
@@ -52,7 +101,7 @@ util::Json encode_task(const TaskSpec& spec, double straggler_seconds);
 util::Json encode_result(std::size_t id, const WorkResult& result);
 util::Json encode_shutdown();
 
-/// Field extraction; each throws util::ParseError on malformed messages.
+/// Field extraction; each throws like the decoders above.
 std::size_t hello_token(const util::Json& message);
 TaskSpec decode_task(const util::Json& message);
 double task_straggler_seconds(const util::Json& message);

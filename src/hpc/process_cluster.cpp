@@ -1,6 +1,5 @@
 #include "hpc/process_cluster.hpp"
 
-#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -41,8 +40,14 @@ ProcessCluster::ProcessCluster(const ClusterSpec& cluster,
       farm_(farm),
       config_(std::move(config)),
       epoch_(std::chrono::steady_clock::now()) {
-  if (config_.worker_binary.empty()) {
-    throw util::ValueError("process cluster: worker_binary is required");
+  // Checked here: a worker that cannot exec only dies before its handshake,
+  // and the run would quietly degrade to in-process evaluation.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(config_.worker_binary, ec) ||
+      ::access(config_.worker_binary.c_str(), X_OK) != 0) {
+    throw util::ValueError("process cluster: worker binary \"" +
+                           config_.worker_binary.string() +
+                           "\" is not an executable file");
   }
   if (config_.num_workers == 0) config_.num_workers = farm_.job.nodes;
   if (config_.num_workers == 0) {
@@ -82,7 +87,7 @@ double ProcessCluster::session_minutes() const {
 }
 
 void ProcessCluster::ensure_listening() {
-  if (!listener_.is_open()) listener_.open();
+  if (!loop_.listener().is_open()) loop_.listener().open();
 }
 
 void ProcessCluster::spawn_worker(std::size_t index) {
@@ -90,7 +95,7 @@ void ProcessCluster::spawn_worker(std::size_t index) {
   std::vector<std::string> args;
   args.push_back(config_.worker_binary.string());
   args.push_back("--port");
-  args.push_back(std::to_string(listener_.port()));
+  args.push_back(std::to_string(loop_.listener().port()));
   args.push_back("--token");
   args.push_back(std::to_string(index));
   for (const std::string& extra : config_.worker_extra_args) {
@@ -112,11 +117,9 @@ void ProcessCluster::spawn_worker(std::size_t index) {
     ::_exit(127);
   }
   w.pid = pid;
-  w.fd = -1;
-  w.reader = net::FrameReader{};
+  w.connection.reset();
   w.spawned = true;
   w.alive = true;
-  w.connected = false;
   w.spawn_deadline = now_seconds() + config_.spawn_timeout_seconds;
   w.task.reset();
   w.tasks_run = 0;
@@ -154,14 +157,14 @@ void ProcessCluster::begin_session() {
         event.kind != FaultKind::kSchedulerRestart) {
       continue;
     }
-    listener_.rebind();
+    loop_.listener().rebind();
     session_offset_minutes_ =
         std::max(session_offset_minutes_, event.delay_minutes);
     ++scheduler_restarts_;
     obs::metrics().counter("process.scheduler_rebinds_total").add();
     util::log_info() << "process cluster: scheduler restart at batch "
                      << session_batch_ << ", rebound to port "
-                     << listener_.port();
+                     << loop_.listener().port();
   }
 
   spawn_missing_workers();
@@ -226,11 +229,6 @@ std::optional<StreamCompletion> ProcessCluster::stream_try_next(std::size_t lo,
   if (it == undelivered_.end() || *it >= hi) return std::nullopt;
   if (tasks_.at(*it).phase != TaskPhase::kResolved) return std::nullopt;
   return deliver(*it);
-}
-
-void ProcessCluster::poll(double wait_seconds) {
-  if (!stream_active_) return;
-  pump(wait_seconds);
 }
 
 BatchReport ProcessCluster::stream_end() {
@@ -299,130 +297,95 @@ std::size_t ProcessCluster::live_workers() const {
 
 void ProcessCluster::pump(double wait_seconds) {
   reap_zombies();
-
-  std::vector<pollfd> fds;
-  if (listener_.is_open()) {
-    fds.push_back({listener_.fd(), POLLIN, 0});
-  }
-  for (const PendingConn& conn : pending_conns_) {
-    fds.push_back({conn.fd, POLLIN, 0});
-  }
-  for (const Worker& w : workers_) {
-    if (w.alive && w.fd >= 0) fds.push_back({w.fd, POLLIN, 0});
-  }
-  const int timeout_ms =
-      std::max(0, static_cast<int>(std::lround(wait_seconds * 1000.0)));
-  if (::poll(fds.data(), fds.size(), timeout_ms) < 0 && errno != EINTR) {
-    throw util::IoError("process cluster: poll failed: " +
-                        std::string(std::strerror(errno)));
-  }
-
-  accept_connections();
-  process_pending_conns();
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    process_worker_frames(i);
+  loop_.poll(
+      wait_seconds,
+      [this](const net::ConnectionPtr& connection, const std::string& payload) {
+        handle_frame(connection, payload);
+      },
+      [this](const net::ConnectionPtr& connection) {
+        const std::size_t index = worker_of(connection);
+        if (index != kNoWorker) {
+          handle_worker_death(index, FailureCause::kNodeLoss);
+        }
+      });
+  // A connection that never says hello is dropped after the spawn budget.
+  const auto now = std::chrono::steady_clock::now();
+  for (const net::ConnectionPtr& connection : loop_.connections()) {
+    if (worker_of(connection) == kNoWorker &&
+        std::chrono::duration<double>(now - connection->accepted_at).count() >
+            config_.spawn_timeout_seconds) {
+      net::Loop::drop(connection);
+    }
   }
   check_deadlines();
   dispatch_ready_tasks();
   degrade_if_stranded();
 }
 
-void ProcessCluster::accept_connections() {
-  if (!listener_.is_open()) return;
-  for (;;) {
-    const int fd = listener_.accept_nonblocking();
-    if (fd < 0) break;
-    pending_conns_.push_back({fd, net::FrameReader{}, now_seconds()});
+std::size_t ProcessCluster::worker_of(
+    const net::ConnectionPtr& connection) const {
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    if (workers_[i].connection == connection) return i;
+  }
+  return kNoWorker;
+}
+
+void ProcessCluster::handle_frame(const net::ConnectionPtr& connection,
+                                  const std::string& payload) {
+  const std::size_t index = worker_of(connection);
+  try {
+    const util::Json msg = util::Json::parse(payload);
+    if (index == kNoWorker) {
+      adopt(connection, msg);
+      return;
+    }
+    Worker& w = workers_[index];
+    const std::string type = net::message_type(msg);
+    if (type == net::kMsgHeartbeat) {
+      const double now = now_seconds();
+      obs::metrics()
+          .histogram("process.heartbeat_gap_seconds",
+                     obs::BucketLayout::timing_seconds())
+          .record(now - w.last_heartbeat);
+      w.last_heartbeat = now;
+    } else if (type == net::kMsgResult) {
+      w.last_heartbeat = now_seconds();
+      const std::size_t id = net::result_id(msg);
+      if (w.task && *w.task == id) {
+        w.task.reset();
+        ++w.tasks_run;
+        apply_result(id, net::decode_result(msg));
+      }
+    }
+  } catch (const util::Error& e) {
+    util::log_warn() << "process cluster: bad frame from "
+                     << (index == kNoWorker ? "a new connection (dropped)"
+                                            : "worker " + std::to_string(index))
+                     << ": " << e.what();
+    if (index == kNoWorker) net::Loop::drop(connection);
   }
 }
 
-void ProcessCluster::process_pending_conns() {
-  const double now = now_seconds();
-  for (std::size_t c = 0; c < pending_conns_.size();) {
-    PendingConn& conn = pending_conns_[c];
-    const bool open = conn.reader.drain(conn.fd);
-    const std::optional<std::string> frame = conn.reader.next();
-    if (!frame) {
-      const bool stale =
-          now - conn.accepted_at > config_.spawn_timeout_seconds;
-      if (!open || stale) {
-        ::close(conn.fd);
-        pending_conns_.erase(pending_conns_.begin() +
-                             static_cast<std::ptrdiff_t>(c));
-        continue;
+void ProcessCluster::adopt(const net::ConnectionPtr& connection,
+                           const util::Json& hello) {
+  if (net::message_type(hello) == net::kMsgHello) {
+    const std::size_t token = net::hello_token(hello);
+    if (token < workers_.size() && workers_[token].alive &&
+        !workers_[token].connection) {
+      Worker& w = workers_[token];
+      w.connection = connection;
+      w.last_heartbeat = now_seconds();
+      if (!net::Loop::send(
+              connection,
+              net::encode_init(config_.eval_config_json,
+                               config_.heartbeat_interval_seconds)
+                  .dump())) {
+        handle_worker_death(token, FailureCause::kNodeLoss);
       }
-      ++c;
-      continue;
-    }
-
-    // First frame must be the hello; anything else is a protocol stranger.
-    bool adopted = false;
-    try {
-      const util::Json msg = util::Json::parse(*frame);
-      if (net::message_type(msg) == net::kMsgHello) {
-        const std::size_t token = net::hello_token(msg);
-        if (token < workers_.size() && workers_[token].alive &&
-            !workers_[token].connected) {
-          Worker& w = workers_[token];
-          w.fd = conn.fd;
-          w.reader = std::move(conn.reader);
-          w.connected = true;
-          w.last_heartbeat = now;
-          adopted = true;
-          if (!net::write_frame(
-                  w.fd,
-                  net::encode_init(config_.eval_config_json,
-                                   config_.heartbeat_interval_seconds)
-                      .dump())) {
-            handle_worker_death(token, FailureCause::kNodeLoss);
-          }
-        }
-      }
-    } catch (const util::Error& e) {
-      util::log_warn() << "process cluster: dropping connection with bad "
-                          "hello: "
-                       << e.what();
-    }
-    if (!adopted) ::close(conn.fd);
-    pending_conns_.erase(pending_conns_.begin() +
-                         static_cast<std::ptrdiff_t>(c));
-  }
-}
-
-void ProcessCluster::process_worker_frames(std::size_t index) {
-  Worker& w = workers_[index];
-  if (!w.alive || w.fd < 0) return;
-  const bool open = w.reader.drain(w.fd);
-  while (true) {
-    const std::optional<std::string> frame = w.reader.next();
-    if (!frame) break;
-    try {
-      const util::Json msg = util::Json::parse(*frame);
-      const std::string type = net::message_type(msg);
-      if (type == net::kMsgHeartbeat) {
-        const double now = now_seconds();
-        obs::metrics()
-            .histogram("process.heartbeat_gap_seconds",
-                       obs::BucketLayout::timing_seconds())
-            .record(now - w.last_heartbeat);
-        w.last_heartbeat = now;
-      } else if (type == net::kMsgResult) {
-        w.last_heartbeat = now_seconds();
-        const std::size_t id = net::result_id(msg);
-        if (w.task && *w.task == id) {
-          w.task.reset();
-          ++w.tasks_run;
-          apply_result(id, net::decode_result(msg));
-        }
-      }
-    } catch (const util::Error& e) {
-      util::log_warn() << "process cluster: bad frame from worker " << index
-                       << ": " << e.what();
+      return;
     }
   }
-  if (!open) {
-    handle_worker_death(index, FailureCause::kNodeLoss);
-  }
+  net::Loop::drop(connection);
 }
 
 void ProcessCluster::check_deadlines() {
@@ -431,7 +394,7 @@ void ProcessCluster::check_deadlines() {
     Worker& w = workers_[i];
     if (!w.alive) continue;
 
-    if (!w.connected) {
+    if (!w.connection) {
       // A child that exits before the handshake (bad binary, exec failure)
       // is detected immediately; otherwise the spawn deadline applies.
       int status = 0;
@@ -490,7 +453,7 @@ void ProcessCluster::dispatch_ready_tasks() {
     std::size_t target = kNoWorker;
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       const Worker& w = workers_[i];
-      if (w.alive && w.connected && !w.task) {
+      if (w.alive && w.connection && !w.task) {
         target = i;
         break;
       }
@@ -504,8 +467,8 @@ void ProcessCluster::dispatch_ready_tasks() {
     w.task = id;
     w.task_started = now;
     const double straggle = straggler_seconds_for(id);
-    if (!net::write_frame(w.fd,
-                          net::encode_task(task.spec, straggle).dump())) {
+    if (!net::Loop::send(w.connection,
+                         net::encode_task(task.spec, straggle).dump())) {
       handle_worker_death(target, FailureCause::kNodeLoss);
       return;  // the requeue reset task state; retry on the next pump
     }
@@ -575,10 +538,9 @@ void ProcessCluster::handle_worker_death(std::size_t index,
   Worker& w = workers_[index];
   if (!w.alive) return;
   w.alive = false;
-  w.connected = false;
-  if (w.fd >= 0) {
-    ::close(w.fd);
-    w.fd = -1;
+  if (w.connection) {
+    net::Loop::drop(w.connection);
+    w.connection.reset();
   }
   if (w.pid > 0) {
     ::kill(w.pid, SIGKILL);  // idempotent; ESRCH if it already died
@@ -723,8 +685,8 @@ void ProcessCluster::reap_zombies() {
 
 void ProcessCluster::shutdown_workers() {
   for (Worker& w : workers_) {
-    if (w.alive && w.connected && w.fd >= 0) {
-      net::write_frame(w.fd, net::encode_shutdown().dump());
+    if (w.alive && w.connection) {
+      net::Loop::send(w.connection, net::encode_shutdown().dump());
     }
   }
   // Give workers a short grace window to exit on their own, then SIGKILL.
@@ -747,21 +709,15 @@ void ProcessCluster::shutdown_workers() {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
-    if (w.fd >= 0) {
-      ::close(w.fd);
-      w.fd = -1;
-    }
+    w.connection.reset();
     w.alive = false;
-    w.connected = false;
   }
   for (const ::pid_t pid : zombies_) {
     int status = 0;
     ::waitpid(pid, &status, 0);
   }
   zombies_.clear();
-  for (PendingConn& conn : pending_conns_) ::close(conn.fd);
-  pending_conns_.clear();
-  listener_.close();
+  loop_.close_all();
 }
 
 // --- Checkpointing ---------------------------------------------------------

@@ -58,13 +58,15 @@
 #include <vector>
 
 #include "hpc/cluster_session.hpp"
-#include "hpc/net/frame.hpp"
+#include "hpc/net/loop.hpp"
+#include "util/json.hpp"
 
 namespace dpho::hpc {
 
 /// Configuration of the real worker pool.
 struct ProcessClusterConfig {
-  /// The dpho_worker executable (required).
+  /// The dpho_worker executable (required; the constructor refuses a path
+  /// that is not an executable file).
   std::filesystem::path worker_binary;
   /// Worker processes to spawn; 0 -> FarmConfig::job.nodes.
   std::size_t num_workers = 0;
@@ -114,7 +116,9 @@ class ProcessCluster final : public ClusterSession {
   BatchReport stream_end() override;
   std::optional<StreamCompletion> stream_try_next(std::size_t lo,
                                                   std::size_t hi) override;
-  void poll(double wait_seconds) override;
+  void poll(double wait_seconds) override {
+    if (stream_active_) pump(wait_seconds);
+  }
 
   bool stream_active() const override { return stream_active_; }
   std::size_t stream_pending() const override { return undelivered_.size(); }
@@ -132,7 +136,7 @@ class ProcessCluster final : public ClusterSession {
   std::string backend_name() const override { return "process"; }
 
   /// Test hooks.
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return loop_.listener().port(); }
   ::pid_t worker_pid(std::size_t worker) const;
   const ProcessClusterConfig& config() const { return config_; }
 
@@ -152,22 +156,14 @@ class ProcessCluster final : public ClusterSession {
 
   struct Worker {
     ::pid_t pid = -1;
-    int fd = -1;                    // -1 until the hello frame arrived
-    net::FrameReader reader;
+    net::ConnectionPtr connection;  // set once the hello arrived, init sent
     bool spawned = false;
     bool alive = false;             // spawned and not declared dead
-    bool connected = false;         // hello received, init sent
     double spawn_deadline = 0.0;
     double last_heartbeat = 0.0;
     std::optional<std::size_t> task;
     double task_started = 0.0;
     std::size_t tasks_run = 0;
-  };
-
-  struct PendingConn {
-    int fd = -1;
-    net::FrameReader reader;
-    double accepted_at = 0.0;
   };
 
   double now_seconds() const;
@@ -177,9 +173,13 @@ class ProcessCluster final : public ClusterSession {
   void spawn_missing_workers();
   void begin_session();
   void pump(double wait_seconds);
-  void accept_connections();
-  void process_pending_conns();
-  void process_worker_frames(std::size_t index);
+  /// The worker slot a connection was adopted into, or kNoWorker.
+  std::size_t worker_of(const net::ConnectionPtr& connection) const;
+  void handle_frame(const net::ConnectionPtr& connection,
+                    const std::string& payload);
+  /// A new connection's first frame must be the hello of a spawned worker
+  /// still awaiting its handshake; anything else is dropped.
+  void adopt(const net::ConnectionPtr& connection, const util::Json& hello);
   void check_deadlines();
   void dispatch_ready_tasks();
   void degrade_if_stranded();
@@ -200,9 +200,8 @@ class ProcessCluster final : public ClusterSession {
   FarmConfig farm_;
   ProcessClusterConfig config_;
   std::chrono::steady_clock::time_point epoch_;
-  net::Listener listener_;
+  net::Loop loop_;
   std::vector<Worker> workers_;
-  std::vector<PendingConn> pending_conns_;
   std::vector<::pid_t> zombies_;
 
   double clock_minutes_ = 0.0;

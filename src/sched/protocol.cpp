@@ -1,37 +1,17 @@
 #include "sched/protocol.hpp"
 
-#include <cmath>
+#include <utility>
 
-#include "hpc/net/wire.hpp"
 #include "util/error.hpp"
 
 namespace dpho::sched {
 
+using hpc::net::expect_type;
+using hpc::net::string_field;
+using hpc::net::tagged;
+using hpc::net::uint_field;
+
 namespace {
-
-/// A non-negative integer field (ids, counts); throws ParseError when the
-/// field is missing or not a number, ValueError when it is negative,
-/// fractional or 2^53 or more.
-std::uint64_t uint_field(const util::Json& message, const std::string& key) {
-  if (!message.contains(key) || !message.at(key).is_number()) {
-    throw util::ParseError("sched message: missing numeric field " + key);
-  }
-  const double value = message.at(key).as_number();
-  // Below 2^53 every integer is exact in a double and the cast is defined.
-  if (!(value >= 0.0 && value < 0x1p53) || value != std::floor(value)) {
-    throw util::ValueError("sched message: field " + key +
-                           " must be an integer in [0, 2^53)");
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
-const std::string& string_field(const util::Json& message,
-                                const std::string& key) {
-  if (!message.contains(key) || !message.at(key).is_string()) {
-    throw util::ParseError("sched message: missing string field " + key);
-  }
-  return message.at(key).as_string();
-}
 
 bool bool_field(const util::Json& message, const std::string& key,
                 bool fallback) {
@@ -47,13 +27,6 @@ double number_field(const util::Json& message, const std::string& key) {
     throw util::ParseError("sched message: missing numeric field " + key);
   }
   return message.at(key).as_number();
-}
-
-void expect_type(const util::Json& message, const char* tag) {
-  if (message_type(message) != tag) {
-    throw util::ParseError("sched message: expected t=" + std::string(tag) +
-                           ", got t=" + message_type(message));
-  }
 }
 
 }  // namespace
@@ -215,18 +188,8 @@ RunStatus run_status_from_json(const util::Json& json) {
   return status;
 }
 
-std::string message_type(const util::Json& message) {
-  if (!message.is_object() || !message.contains("t") ||
-      !message.at("t").is_string()) {
-    throw util::ParseError("sched message: missing \"t\" tag");
-  }
-  return message.at("t").as_string();
-}
-
 util::Json encode_submit_request(const SubmitRequest& request) {
-  util::Json message;
-  message["t"] = kMsgSubmit;
-  message["id"] = request.id;
+  util::Json message = tagged(kMsgSubmit, request.id);
   message["spec"] = run_spec_to_json(request.spec);
   return message;
 }
@@ -243,9 +206,7 @@ SubmitRequest decode_submit_request(const util::Json& message) {
 }
 
 util::Json encode_status_request(const StatusRequest& request) {
-  util::Json message;
-  message["t"] = kMsgStatus;
-  message["id"] = request.id;
+  util::Json message = tagged(kMsgStatus, request.id);
   message["run"] = request.run;
   message["record"] = request.want_record;
   return message;
@@ -262,9 +223,7 @@ StatusRequest decode_status_request(const util::Json& message) {
 }
 
 util::Json encode_cancel_request(const CancelRequest& request) {
-  util::Json message;
-  message["t"] = kMsgCancel;
-  message["id"] = request.id;
+  util::Json message = tagged(kMsgCancel, request.id);
   message["run"] = request.run;
   return message;
 }
@@ -279,10 +238,7 @@ CancelRequest decode_cancel_request(const util::Json& message) {
 }
 
 util::Json encode_list_request(const ListRequest& request) {
-  util::Json message;
-  message["t"] = kMsgList;
-  message["id"] = request.id;
-  return message;
+  return tagged(kMsgList, request.id);
 }
 
 ListRequest decode_list_request(const util::Json& message) {
@@ -293,9 +249,7 @@ ListRequest decode_list_request(const util::Json& message) {
 }
 
 util::Json encode_result_reply(const ResultReply& reply) {
-  util::Json message;
-  message["t"] = kMsgResult;
-  message["id"] = reply.id;
+  util::Json message = tagged(kMsgResult, reply.id);
   message["body"] = reply.body;
   return message;
 }
@@ -312,21 +266,12 @@ ResultReply decode_result_reply(const util::Json& message) {
 }
 
 util::Json encode_error(const ErrorReply& error) {
-  util::Json message;
-  message["t"] = kMsgError;
-  message["id"] = error.id;
-  message["code"] = to_string(error.code);
-  message["message"] = error.message;
-  return message;
+  return hpc::net::encode_error({error.id, to_string(error.code), error.message});
 }
 
 ErrorReply decode_error(const util::Json& message) {
-  expect_type(message, kMsgError);
-  ErrorReply error;
-  error.id = uint_field(message, "id");
-  error.code = error_code_from_string(string_field(message, "code"));
-  error.message = string_field(message, "message");
-  return error;
+  hpc::net::ErrorEnvelope error = hpc::net::decode_error(message);
+  return {error.id, error_code_from_string(error.code), std::move(error.message)};
 }
 
 }  // namespace dpho::sched

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "hpc/net/wire.hpp"
 #include "util/json.hpp"
 
 namespace dpho::sched {
@@ -42,7 +43,7 @@ inline constexpr const char* kMsgStatus = "status";
 inline constexpr const char* kMsgCancel = "cancel";
 inline constexpr const char* kMsgList = "list";
 inline constexpr const char* kMsgResult = "result";
-inline constexpr const char* kMsgError = "error";
+using hpc::net::kMsgError;
 
 /// Longest accepted run name; names are path components under the state dir.
 inline constexpr std::size_t kMaxRunName = 64;
@@ -150,8 +151,7 @@ struct ErrorReply {
   std::string message;
 };
 
-/// The "t" tag of a decoded message; throws util::ParseError when absent.
-std::string message_type(const util::Json& message);
+using hpc::net::message_type;
 
 util::Json encode_submit_request(const SubmitRequest& request);
 SubmitRequest decode_submit_request(const util::Json& message);

@@ -1,96 +1,48 @@
 #include "sched/server.hpp"
 
-#include <poll.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <cmath>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "obs/metrics.hpp"
-#include "util/log.hpp"
 
 namespace dpho::sched {
 
-Server::Connection::~Connection() {
-  if (fd >= 0) ::close(fd);
-}
-
 Server::Server(ServerOptions options, const core::Evaluator& evaluator)
     : options_(std::move(options)),
-      scheduler_(options_.scheduler, evaluator) {}
+      scheduler_(options_.scheduler, evaluator),
+      loop_(options_.max_frame_bytes) {}
 
 Server::~Server() = default;
 
-void Server::start() { listener_.open(); }
+void Server::start() { loop_.listener().open(); }
 
 void Server::serve_forever() {
   while (!stopping()) poll_once();
 }
 
 void Server::poll_once() {
-  accept_pending();
-
-  std::vector<pollfd> fds;
-  fds.reserve(connections_.size());
-  for (const auto& [fd, connection] : connections_) {
-    fds.push_back(pollfd{fd, POLLIN, 0});
+  // An idle scheduler has nothing to step, so the round waits for traffic
+  // instead of spinning (the process backend paces busy rounds itself).
+  const std::size_t accepted = loop_.poll(
+      scheduler_.idle() ? options_.step_wait_seconds : 0.0,
+      [this](const hpc::net::ConnectionPtr& connection,
+             const std::string& payload) { handle_frame(connection, payload); });
+  if (accepted > 0) {
+    obs::metrics().counter("sched.connections_total").add(
+        static_cast<std::int64_t>(accepted));
   }
-  bool served = false;
-  if (!fds.empty() &&
-      ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 0) > 0) {
-    for (const pollfd& entry : fds) {
-      if ((entry.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      const auto it = connections_.find(entry.fd);
-      if (it == connections_.end()) continue;
-      served = true;
-      if (!service_connection(*it->second)) connections_.erase(it);
-    }
-  }
-
-  if (!scheduler_.idle()) {
-    scheduler_.step(options_.step_wait_seconds);
-  } else if (!served) {
-    // Nothing to step and nothing read: sleep instead of spinning (the
-    // process backend would otherwise pace us inside the mux pump).
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(options_.step_wait_seconds));
-  }
+  if (!scheduler_.idle()) scheduler_.step(options_.step_wait_seconds);
 }
 
-void Server::accept_pending() {
-  if (!listener_.is_open()) return;
-  for (;;) {
-    const int fd = listener_.accept_nonblocking();
-    if (fd < 0) return;
-    connections_.emplace(
-        fd, std::make_unique<Connection>(fd, options_.max_frame_bytes));
-    obs::metrics().counter("sched.connections_total").add(1);
-  }
-}
-
-bool Server::service_connection(Connection& connection) {
-  const bool healthy = connection.reader.drain(connection.fd);
-  while (std::optional<std::string> payload = connection.reader.next()) {
-    handle_frame(connection, *payload);
-  }
-  return healthy;
-}
-
-void Server::handle_frame(Connection& connection, const std::string& payload) {
+void Server::handle_frame(const hpc::net::ConnectionPtr& connection,
+                          const std::string& payload) {
   // Recover a correlation id as early as possible so even a refusal can be
-  // matched to its request.
+  // matched to its request; an id no double holds exactly is refused under
+  // id 0.
   std::uint64_t id = 0;
   util::Json reply;
   try {
     const util::Json message = util::Json::parse(payload);
-    // Only a wire-exact id (an integer below 2^53) is cast; the decoder
-    // refuses any other one under id 0.
-    const double raw_id = message.number_or("id", -1.0);
-    if (raw_id >= 0.0 && raw_id < 0x1p53 && raw_id == std::floor(raw_id)) {
-      id = static_cast<std::uint64_t>(raw_id);
-    }
+    id = hpc::net::request_id(message);
     reply = dispatch(message);
   } catch (const SchedError& e) {
     reply = encode_error(ErrorReply{id, e.code(), e.what()});
@@ -103,7 +55,7 @@ void Server::handle_frame(Connection& connection, const std::string& payload) {
   }
   ++requests_served_;
   obs::metrics().counter("sched.requests_total").add(1);
-  hpc::net::write_frame(connection.fd, reply.dump());
+  hpc::net::Loop::send(connection, reply.dump());
 }
 
 util::Json Server::dispatch(const util::Json& message) {

@@ -1,12 +1,15 @@
-// The dpho_sched daemon shell: hpc::net framing in front of one Scheduler.
+// The dpho_sched daemon shell: an hpc::net::Loop in front of one Scheduler.
 //
 // Single-threaded by design: the Scheduler interleaves N engine event loops
 // that share RNGs, archives and one TaskMux, so the server multiplexes
-// client sockets AND run stepping from one poll loop instead of spawning
-// request threads.  Each round accepts pending connections, drains complete
-// frames (per-connection FrameReader, length-capped before allocation),
-// answers each request inline, then gives the scheduler one step() -- with a
-// process-backend pool the step's pump doubles as the loop's pacing wait.
+// client sockets AND run stepping from one thread instead of spawning
+// request threads.  Each round polls the loop (net/loop.hpp: accept, drain
+// each connection's FrameReader, length-capped before allocation), answers
+// each request inline, then gives the scheduler one step() -- with a
+// process-backend pool the step's pump doubles as the round's pacing wait;
+// an idle scheduler waits in the loop's poll instead.  A client that stops
+// reading its replies is dropped after a one-second write stall, so it
+// cannot wedge the daemon for everyone else.
 //
 // Requests never block on evaluation work: submit returns once the initial
 // wave is queued at the mux, status/list/cancel are O(runs), and a finished
@@ -15,11 +18,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 
-#include "hpc/net/frame.hpp"
+#include "hpc/net/loop.hpp"
 #include "sched/scheduler.hpp"
 
 namespace dpho::sched {
@@ -28,8 +29,8 @@ struct ServerOptions {
   SchedulerOptions scheduler;
   /// Per-connection frame cap; a larger declared length drops the peer.
   std::uint32_t max_frame_bytes = hpc::net::kMaxFramePayload;
-  /// Pool-driving budget handed to Scheduler::step each round; also the
-  /// idle-round sleep so a sim-backed daemon does not spin.
+  /// Pool-driving budget handed to Scheduler::step each round; also how
+  /// long an idle round waits for traffic, so the daemon does not spin.
   double step_wait_seconds = 0.002;
 };
 
@@ -42,7 +43,7 @@ class Server {
 
   /// Binds an ephemeral loopback port (valid port() afterwards).
   void start();
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return loop_.listener().port(); }
 
   Scheduler& scheduler() { return scheduler_; }
 
@@ -61,28 +62,14 @@ class Server {
   std::uint64_t requests_served() const { return requests_served_; }
 
  private:
-  struct Connection {
-    explicit Connection(int socket_fd, std::uint32_t max_frame_bytes)
-        : fd(socket_fd), reader(max_frame_bytes) {}
-    ~Connection();
-    Connection(const Connection&) = delete;
-    Connection& operator=(const Connection&) = delete;
-
-    int fd;
-    hpc::net::FrameReader reader;
-  };
-
-  void accept_pending();
-  /// Drains one connection; returns false when it should be dropped.
-  bool service_connection(Connection& connection);
-  void handle_frame(Connection& connection, const std::string& payload);
+  void handle_frame(const hpc::net::ConnectionPtr& connection,
+                    const std::string& payload);
   /// The request->reply map; throws SchedError / util::Error on refusal.
   util::Json dispatch(const util::Json& message);
 
   ServerOptions options_;
   Scheduler scheduler_;
-  hpc::net::Listener listener_;
-  std::map<int, std::unique_ptr<Connection>> connections_;
+  hpc::net::Loop loop_;
   std::atomic<bool> stop_{false};
   std::uint64_t requests_served_ = 0;
 };

@@ -32,20 +32,6 @@ namespace {
 
 using namespace dpho;
 
-/// One blocking request/reply exchange; throws util errors on transport or
-/// decode failure.
-util::Json exchange(int fd, const util::Json& request) {
-  if (!hpc::net::write_frame(fd, request.dump())) {
-    throw util::IoError("dpho_sched_client: daemon closed the connection");
-  }
-  const std::optional<std::string> reply = hpc::net::read_frame(fd);
-  if (!reply) {
-    throw util::IoError(
-        "dpho_sched_client: connection lost awaiting the reply");
-  }
-  return util::Json::parse(*reply);
-}
-
 /// Decodes a reply as a result, or raises the daemon's error as ValueError.
 sched::ResultReply expect_result(const util::Json& reply) {
   if (sched::message_type(reply) == sched::kMsgError) {
@@ -152,7 +138,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    util::Json reply = exchange(fd, request);
+    util::Json reply = hpc::net::exchange(fd, request);
 
     if (!expect_error.empty()) {
       ::close(fd);
@@ -185,7 +171,7 @@ int main(int argc, char** argv) {
         poll.id = next_id++;
         poll.run = name;
         poll.want_record = args.has("--record");
-        reply = exchange(fd, sched::encode_status_request(poll));
+        reply = hpc::net::exchange(fd, sched::encode_status_request(poll));
       }
     }
 

@@ -16,6 +16,7 @@
 // SIGTERM/SIGINT stop the serve loop after the current round and exit 0;
 // the on-disk checkpoints are the recovery point (the chaos harness SIGKILLs
 // the daemon mid-run and asserts the resumed archives stay byte-identical).
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <thread>
@@ -27,24 +28,15 @@
 #include "obs/metrics.hpp"
 #include "sched/server.hpp"
 #include "util/args.hpp"
+#include "util/error.hpp"
 #include "util/fs.hpp"
 
 namespace {
 
-volatile std::sig_atomic_t g_shutdown = 0;
+// Lock-free, so safe in a signal handler, and read by another thread.
+std::atomic<bool> g_shutdown{false};
 
-void on_signal(int) { g_shutdown = 1; }
-
-// The dpho_worker binary normally sits next to dpho_sched in the build tree;
-// resolve it relative to the running executable so `dpho_sched --cluster
-// process` works from any CWD without flags.
-std::filesystem::path default_worker_binary() {
-  std::error_code ec;
-  const std::filesystem::path self =
-      std::filesystem::read_symlink("/proc/self/exe", ec);
-  if (ec) return "dpho_worker";
-  return self.parent_path() / "dpho_worker";
-}
+void on_signal(int) { g_shutdown = true; }
 
 }  // namespace
 
@@ -101,9 +93,7 @@ int main(int argc, char** argv) {
       hpc::cluster_backend_from_string(backend.cluster);
   if (options.scheduler.backend.kind == hpc::ClusterBackendKind::kProcess) {
     hpc::ProcessClusterConfig& process = options.scheduler.backend.process;
-    process.worker_binary = backend.worker_binary.empty()
-                                ? default_worker_binary()
-                                : std::filesystem::path(backend.worker_binary);
+    process.worker_binary = backend.worker_binary;
     process.num_workers = options.scheduler.pool_workers;
     // Ship the same backend configuration the local evaluator uses, so a
     // process-cluster run reproduces the sim run's fitness bit for bit.
@@ -141,13 +131,13 @@ int main(int argc, char** argv) {
     // A signal-watcher thread flips the server's stop flag so the serve loop
     // (which may be inside a pool pump) exits after its current round.
     std::thread watcher([&server] {
-      while (g_shutdown == 0 && !server.stopping()) {
+      while (!g_shutdown && !server.stopping()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
       }
       server.request_stop();
     });
     server.serve_forever();
-    g_shutdown = 1;
+    g_shutdown = true;
     watcher.join();
     std::printf("dpho_sched: stopped after %llu request(s)\n",
                 static_cast<unsigned long long>(server.requests_served()));
@@ -159,6 +149,11 @@ int main(int argc, char** argv) {
       obs::events().close();
     }
     return 0;
+  } catch (const util::ValueError& e) {
+    // A configuration the daemon refuses, e.g. a --worker-binary that is
+    // not an executable file.
+    std::fprintf(stderr, "dpho_sched: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dpho_sched: %s\n", e.what());
     return 1;

@@ -1,35 +1,17 @@
 #include "serve/protocol.hpp"
 
-#include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace dpho::serve {
 
+using hpc::net::expect_type;
+using hpc::net::string_field;
+using hpc::net::tagged;
+using hpc::net::uint_field;
+
 namespace {
-
-/// A non-negative integer field (ids, counts); throws ParseError when the
-/// field is missing or not a number, ValueError when it is negative,
-/// fractional or 2^53 or more.
-std::uint64_t uint_field(const util::Json& message, const std::string& key) {
-  if (!message.contains(key) || !message.at(key).is_number()) {
-    throw util::ParseError("serve message: missing numeric field " + key);
-  }
-  const double value = message.at(key).as_number();
-  // Below 2^53 every integer is exact in a double and the cast is defined.
-  if (!(value >= 0.0 && value < 0x1p53) || value != std::floor(value)) {
-    throw util::ValueError("serve message: field " + key +
-                           " must be an integer in [0, 2^53)");
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
-const std::string& string_field(const util::Json& message, const std::string& key) {
-  if (!message.contains(key) || !message.at(key).is_string()) {
-    throw util::ParseError("serve message: missing string field " + key);
-  }
-  return message.at(key).as_string();
-}
 
 const util::JsonArray& array_field(const util::Json& message,
                                    const std::string& key) {
@@ -72,13 +54,6 @@ util::Json encode_triplets(const std::vector<md::Vec3>& vectors) {
   return flat;
 }
 
-void expect_type(const util::Json& message, const char* tag) {
-  if (message_type(message) != tag) {
-    throw util::ParseError("serve message: expected t=" + std::string(tag) +
-                           ", got t=" + message_type(message));
-  }
-}
-
 }  // namespace
 
 std::string to_string(ErrorCode code) {
@@ -101,18 +76,8 @@ ErrorCode error_code_from_string(const std::string& name) {
   throw util::ValueError("serve message: unknown error code " + name);
 }
 
-std::string message_type(const util::Json& message) {
-  if (!message.is_object() || !message.contains("t") ||
-      !message.at("t").is_string()) {
-    throw util::ParseError("serve message: missing \"t\" tag");
-  }
-  return message.at("t").as_string();
-}
-
 util::Json encode_eval_request(const EvalRequest& request) {
-  util::Json message;
-  message["t"] = kMsgEval;
-  message["id"] = request.id;
+  util::Json message = tagged(kMsgEval, request.id);
   message["model"] = request.model;
   message["forces"] = request.want_forces;
   util::JsonArray frames;
@@ -167,9 +132,7 @@ EvalRequest decode_eval_request(const util::Json& message) {
 }
 
 util::Json encode_eval_reply(const EvalReply& reply) {
-  util::Json message;
-  message["t"] = kMsgResult;
-  message["id"] = reply.id;
+  util::Json message = tagged(kMsgResult, reply.id);
   message["model"] = reply.model;
   util::JsonArray energies;
   energies.reserve(reply.energies.size());
@@ -230,35 +193,21 @@ EvalReply decode_eval_reply(const util::Json& message) {
 }
 
 util::Json encode_error(const ErrorReply& error) {
-  util::Json message;
-  message["t"] = kMsgError;
-  message["id"] = error.id;
-  message["code"] = to_string(error.code);
-  message["message"] = error.message;
-  return message;
+  return hpc::net::encode_error({error.id, to_string(error.code), error.message});
 }
 
 ErrorReply decode_error(const util::Json& message) {
-  expect_type(message, kMsgError);
-  ErrorReply error;
-  error.id = uint_field(message, "id");
-  error.code = error_code_from_string(string_field(message, "code"));
-  error.message = message.string_or("message", "");
-  return error;
+  hpc::net::ErrorEnvelope error = hpc::net::decode_error(message);
+  return {error.id, error_code_from_string(error.code), std::move(error.message)};
 }
 
 util::Json encode_catalog_request(std::uint64_t id) {
-  util::Json message;
-  message["t"] = kMsgCatalog;
-  message["id"] = id;
-  return message;
+  return tagged(kMsgCatalog, id);
 }
 
 util::Json encode_catalog_reply(std::uint64_t id,
                                 const std::vector<CatalogModel>& models) {
-  util::Json message;
-  message["t"] = kMsgCatalog;
-  message["id"] = id;
+  util::Json message = tagged(kMsgCatalog, id);
   util::JsonArray rows;
   rows.reserve(models.size());
   for (const CatalogModel& model : models) {

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "hpc/net/wire.hpp"
 #include "md/dataset.hpp"
 #include "util/json.hpp"
 
@@ -43,7 +44,7 @@ inline constexpr std::size_t kMaxBatchFrames = 4096;
 inline constexpr const char* kMsgEval = "eval";
 inline constexpr const char* kMsgResult = "result";
 inline constexpr const char* kMsgCatalog = "catalog";
-inline constexpr const char* kMsgError = "error";
+using hpc::net::kMsgError;
 
 /// Why the daemon refused a request.
 enum class ErrorCode {
@@ -94,8 +95,7 @@ struct CatalogModel {
   std::vector<std::pair<std::string, double>> objectives;
 };
 
-/// The "t" tag of a decoded message; throws util::ParseError when absent.
-std::string message_type(const util::Json& message);
+using hpc::net::message_type;
 
 util::Json encode_eval_request(const EvalRequest& request);
 EvalRequest decode_eval_request(const util::Json& message);

@@ -1,10 +1,6 @@
 #include "serve/server.hpp"
 
-#include <poll.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "obs/event_sink.hpp"
@@ -31,12 +27,11 @@ void record_timing(const char* name, double seconds) {
 
 }  // namespace
 
-Server::Connection::~Connection() { ::close(fd); }
-
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       archive_(dp::ModelArchive::open(options_.archive_dir)),
-      cache_(archive_, options_.cache_capacity) {
+      cache_(archive_, options_.cache_capacity),
+      loop_(options_.max_frame_bytes) {
   if (options_.max_queue == 0) {
     throw util::ValueError("serve: max_queue must be >= 1");
   }
@@ -57,14 +52,14 @@ Server::Server(ServerOptions options)
 Server::~Server() { stop(); }
 
 void Server::start() {
-  listener_.open();
+  loop_.listener().open();
   running_.store(true, std::memory_order_release);
   io_thread_ = std::thread(&Server::io_loop, this);
   workers_.reserve(options_.threads);
   for (std::size_t i = 0; i < options_.threads; ++i) {
     workers_.emplace_back(&Server::worker_loop, this);
   }
-  obs::events().emit("serve.start", {{"port", std::size_t{listener_.port()}},
+  obs::events().emit("serve.start", {{"port", std::size_t{port()}},
                                      {"models", catalog_.size()},
                                      {"threads", options_.threads}});
 }
@@ -94,12 +89,7 @@ void Server::stop() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  // Threads are gone; connection fds close as the last shared_ptrs drop.
-  for (auto& [fd, connection] : connections_) {
-    connection->alive.store(false, std::memory_order_release);
-  }
-  connections_.clear();
-  listener_.close();
+  loop_.close_all();  // threads are gone: nobody else holds a connection
   {
     const std::scoped_lock lock(queue_mutex_);
     queue_.clear();
@@ -115,36 +105,29 @@ bool Server::idle() const {
 }
 
 void Server::io_loop() {
+  const auto on_frame = [this](const hpc::net::ConnectionPtr& connection,
+                               const std::string& payload) {
+    handle_frame(connection, payload);
+  };
+  const auto on_closed = [this](const hpc::net::ConnectionPtr& connection) {
+    handle_close(connection);
+  };
+  std::size_t active = 0;
   while (running_.load(std::memory_order_acquire)) {
-    if (draining_.load(std::memory_order_acquire) && listener_.is_open()) {
-      listener_.close();  // no new connections during a drain
-    }
-
-    std::vector<::pollfd> fds;
-    fds.reserve(connections_.size() + 1);
-    if (listener_.is_open()) {
-      fds.push_back({listener_.fd(), POLLIN, 0});
-    }
-    for (const auto& [fd, connection] : connections_) {
-      fds.push_back({fd, POLLIN, 0});
+    if (draining_.load(std::memory_order_acquire)) {
+      loop_.listener().close();  // no new connections during a drain
     }
     // Short timeout so stop/drain flags are observed promptly even when no
     // client traffic arrives.
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 20);
-
-    if (listener_.is_open()) accept_pending();
-
-    std::vector<int> dropped;
-    for (const auto& [fd, connection] : connections_) {
-      if (!service_connection(connection)) dropped.push_back(fd);
+    const std::size_t accepted = loop_.poll(0.020, on_frame, on_closed);
+    if (accepted > 0) {
+      obs::metrics().counter("serve.connections").add(
+          static_cast<std::int64_t>(accepted));
     }
-    for (const int fd : dropped) {
-      connections_.at(fd)->alive.store(false, std::memory_order_release);
-      connections_.erase(fd);
-    }
-    if (!dropped.empty()) {
+    if (loop_.connections().size() != active) {
+      active = loop_.connections().size();
       obs::metrics().gauge("serve.connections_active")
-          .set(static_cast<double>(connections_.size()));
+          .set(static_cast<double>(active));
     }
 
     if (draining_.load(std::memory_order_acquire)) {
@@ -159,74 +142,38 @@ void Server::io_loop() {
   drained_cv_.notify_all();
 }
 
-void Server::accept_pending() {
-  while (true) {
-    const int fd = listener_.accept_nonblocking();
-    if (fd < 0) break;
-    connections_.emplace(
-        fd, std::make_shared<Connection>(fd, options_.max_frame_bytes));
-    obs::metrics().counter("serve.connections").add();
-    obs::metrics().gauge("serve.connections_active")
-        .set(static_cast<double>(connections_.size()));
-  }
-}
-
-bool Server::service_connection(const std::shared_ptr<Connection>& connection) {
-  const bool open = connection->reader.drain(connection->fd);
-  while (std::optional<std::string> frame = connection->reader.next()) {
-    handle_frame(connection, *frame);
-  }
-  if (open) return true;
-  switch (connection->reader.error()) {
-    case hpc::net::FrameError::kOversized:
-      obs::metrics().counter("serve.oversized").add();
-      send_error(connection, 0, ErrorCode::kTooLarge,
-                 "declared frame of " +
-                     std::to_string(connection->reader.oversized_length()) +
-                     " bytes exceeds the " +
-                     std::to_string(options_.max_frame_bytes) + "-byte cap");
-      break;
-    case hpc::net::FrameError::kClosed:
-    case hpc::net::FrameError::kReset:
-      obs::metrics().counter("serve.disconnects").add();
-      obs::events().emit("serve.disconnect",
-                         {{"error", to_string(connection->reader.error())}});
-      break;
-    case hpc::net::FrameError::kNone:
-      break;
-  }
-  return false;
-}
-
-void Server::handle_frame(const std::shared_ptr<Connection>& connection,
-                          const std::string& payload) {
-  util::Json message;
-  try {
-    message = util::Json::parse(payload);
-  } catch (const std::exception& e) {
-    send_error(connection, 0, ErrorCode::kBadRequest,
-               std::string("malformed JSON: ") + e.what());
+void Server::handle_close(const hpc::net::ConnectionPtr& connection) {
+  const hpc::net::FrameReader& reader = connection->reader;
+  if (reader.error() == hpc::net::FrameError::kOversized) {
+    obs::metrics().counter("serve.oversized").add();
+    send_error(connection, 0, ErrorCode::kTooLarge,
+               "declared frame of " + std::to_string(reader.oversized_length()) +
+                   " bytes exceeds the " +
+                   std::to_string(options_.max_frame_bytes) + "-byte cap");
     return;
   }
+  // kNone: a reply write failed (the peer vanished or stopped reading).
+  obs::metrics().counter("serve.disconnects").add();
+  obs::events().emit("serve.disconnect", {{"error", to_string(reader.error())}});
+}
+
+void Server::handle_frame(const hpc::net::ConnectionPtr& connection,
+                          const std::string& payload) {
+  // The id is recovered before the request is decoded, so even a refusal
+  // carries it; an id no double holds exactly is refused under id 0.
+  util::Json message;
   std::string type;
+  std::uint64_t id = 0;
   try {
+    message = util::Json::parse(payload);
     type = message_type(message);
+    id = hpc::net::request_id(message);
   } catch (const std::exception& e) {
     send_error(connection, 0, ErrorCode::kBadRequest, e.what());
     return;
   }
-  // A numeric id must be a wire-exact integer (below 2^53) before it is cast;
-  // anything else is refused under id 0.  A non-numeric id is left for the
-  // eval decoder to refuse.
-  const double raw_id = message.number_or("id", 0.0);
-  if (!(raw_id >= 0.0 && raw_id < 0x1p53) || raw_id != std::floor(raw_id)) {
-    send_error(connection, 0, ErrorCode::kBadRequest,
-               "id must be an integer in [0, 2^53)");
-    return;
-  }
-  const auto id = static_cast<std::uint64_t>(raw_id);
   if (type == kMsgCatalog) {
-    send(connection, encode_catalog_reply(id, catalog_));
+    hpc::net::Loop::send(connection, encode_catalog_reply(id, catalog_).dump());
     return;
   }
   if (type != kMsgEval) {
@@ -254,7 +201,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& connection,
   handle_eval(connection, std::move(request));
 }
 
-void Server::handle_eval(const std::shared_ptr<Connection>& connection,
+void Server::handle_eval(const hpc::net::ConnectionPtr& connection,
                          EvalRequest request) {
   const auto served = served_.find(request.model);
   if (served == served_.end()) {
@@ -355,7 +302,7 @@ void Server::process(Job job) {
     // hand must never observe a requests_served() that excludes it.
     requests_served_.fetch_add(1, std::memory_order_relaxed);
     obs::metrics().counter("serve.replies").add();
-    send(job.connection, encode_eval_reply(reply));
+    hpc::net::Loop::send(job.connection, encode_eval_reply(reply).dump());
     record_timing("serve.request_seconds",
                   std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                 job.enqueued)
@@ -372,27 +319,15 @@ void Server::process(Job job) {
   }
 }
 
-void Server::send_error(const std::shared_ptr<Connection>& connection,
+void Server::send_error(const hpc::net::ConnectionPtr& connection,
                         std::uint64_t id, ErrorCode code,
                         const std::string& message) {
   obs::metrics().counter("serve.errors").add();
   obs::metrics().counter("serve.errors." + to_string(code)).add();
   obs::events().emit("serve.error",
                      {{"id", id}, {"code", to_string(code)}, {"message", message}});
-  send(connection, encode_error(ErrorReply{id, code, message}));
-}
-
-void Server::send(const std::shared_ptr<Connection>& connection,
-                  const util::Json& message) {
-  const std::scoped_lock lock(connection->write_mutex);
-  if (!connection->alive.load(std::memory_order_acquire)) return;
-  // A false return means the peer vanished mid-reply; the reader side will
-  // observe the close on the next drain and retire the connection.
-  try {
-    hpc::net::write_frame(connection->fd, message.dump());
-  } catch (const util::IoError&) {
-    // The IO thread owns connection teardown; nothing to do here.
-  }
+  hpc::net::Loop::send(connection,
+                       encode_error(ErrorReply{id, code, message}).dump());
 }
 
 }  // namespace dpho::serve

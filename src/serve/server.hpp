@@ -1,13 +1,15 @@
 // The dp_serve daemon core: batched inference over archived potentials.
 //
-// One IO thread multiplexes a loopback listener plus every client connection
-// with poll() and per-connection hpc::net::FrameReaders (each capped at
+// One IO thread runs the hpc::net::Loop (net/loop.hpp): a loopback listener
+// plus every client connection, each behind a FrameReader capped at
 // `max_frame_bytes`, so an oversized length prefix is refused before any
-// payload allocation).  Complete frames are decoded into protocol requests
+// payload allocation.  Complete frames are decoded into protocol requests
 // and pushed onto a bounded queue; `threads` worker threads pop requests,
 // resolve the model through the LRU ModelCache, run the analytic primal path
 // (dp::Potential::evaluate -- FastGraph forward, no tape) over the batch, and
-// write the reply under a per-connection write mutex.
+// write the reply themselves through Loop::send (per-connection write
+// mutex).  A client that stops reading its replies is dropped after a
+// one-second write stall instead of blocking the thread that answers it.
 //
 // Backpressure is explicit: when the queue is full (or the daemon is
 // draining) the IO thread immediately answers `overloaded` instead of
@@ -36,7 +38,7 @@
 #include <vector>
 
 #include "dp/archive.hpp"
-#include "hpc/net/frame.hpp"
+#include "hpc/net/loop.hpp"
 #include "serve/model_cache.hpp"
 #include "serve/protocol.hpp"
 
@@ -68,7 +70,7 @@ class Server {
   void start();
 
   /// The bound port (valid after start()).
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return loop_.listener().port(); }
 
   /// The served catalog rows, in archive order.
   const std::vector<CatalogModel>& catalog() const { return catalog_; }
@@ -95,43 +97,23 @@ class Server {
   const ModelCache& cache() const { return cache_; }
 
  private:
-  /// One client connection.  The Connection owns its fd and closes it in the
-  /// destructor: the IO thread only erases its shared_ptr from the map, so a
-  /// worker still holding the connection for an in-flight reply can never
-  /// write to a closed (and possibly reused) descriptor.
-  struct Connection {
-    explicit Connection(int socket_fd, std::uint32_t max_frame_bytes)
-        : fd(socket_fd), reader(max_frame_bytes) {}
-    ~Connection();
-    Connection(const Connection&) = delete;
-    Connection& operator=(const Connection&) = delete;
-
-    int fd;
-    hpc::net::FrameReader reader;
-    std::mutex write_mutex;       // workers and the IO thread both reply
-    std::atomic<bool> alive{true};  // cleared when the IO thread retires it
-  };
-
   struct Job {
-    std::shared_ptr<Connection> connection;
+    hpc::net::ConnectionPtr connection;
     EvalRequest request;
     std::chrono::steady_clock::time_point enqueued;
   };
 
   void io_loop();
   void worker_loop();
-  void accept_pending();
-  /// Drains one connection; returns false when it should be dropped.
-  bool service_connection(const std::shared_ptr<Connection>& connection);
-  void handle_frame(const std::shared_ptr<Connection>& connection,
+  void handle_frame(const hpc::net::ConnectionPtr& connection,
                     const std::string& payload);
-  void handle_eval(const std::shared_ptr<Connection>& connection,
+  /// Counts a dropped peer; answers a frame-cap violation with too_large.
+  void handle_close(const hpc::net::ConnectionPtr& connection);
+  void handle_eval(const hpc::net::ConnectionPtr& connection,
                    EvalRequest request);
   void process(Job job);
-  void send_error(const std::shared_ptr<Connection>& connection,
-                  std::uint64_t id, ErrorCode code, const std::string& message);
-  static void send(const std::shared_ptr<Connection>& connection,
-                   const util::Json& message);
+  void send_error(const hpc::net::ConnectionPtr& connection, std::uint64_t id,
+                  ErrorCode code, const std::string& message);
   /// True once the queue is empty and no worker holds a request.
   bool idle() const;
 
@@ -141,7 +123,7 @@ class Server {
   std::vector<CatalogModel> catalog_;
   std::map<std::string, std::size_t> served_;  // id -> expected atom count
 
-  hpc::net::Listener listener_;
+  hpc::net::Loop loop_;  // the IO thread polls it
   std::thread io_thread_;
   std::vector<std::thread> workers_;
 
@@ -151,8 +133,6 @@ class Server {
   std::deque<Job> queue_;
   std::size_t in_flight_ = 0;        // requests popped but not yet replied
   bool drain_complete_ = false;      // guarded by queue_mutex_
-
-  std::map<int, std::shared_ptr<Connection>> connections_;  // IO thread only
 
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};

@@ -45,19 +45,6 @@ md::Frame random_frame(util::Rng& rng, std::size_t atoms, double box) {
   return frame;
 }
 
-/// One blocking request/reply exchange; throws util errors on transport or
-/// decode failure.
-util::Json exchange(int fd, const util::Json& request) {
-  if (!hpc::net::write_frame(fd, request.dump())) {
-    throw util::IoError("dp_serve_client: daemon closed the connection");
-  }
-  const std::optional<std::string> reply = hpc::net::read_frame(fd);
-  if (!reply) {
-    throw util::IoError("dp_serve_client: connection lost awaiting the reply");
-  }
-  return util::Json::parse(*reply);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -112,7 +99,8 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<serve::CatalogModel> catalog =
-        serve::decode_catalog_reply(exchange(fd, serve::encode_catalog_request(1)));
+        serve::decode_catalog_reply(
+            hpc::net::exchange(fd, serve::encode_catalog_request(1)));
     if (catalog.empty()) {
       std::fprintf(stderr, "dp_serve_client: daemon serves no models\n");
       return 1;
@@ -139,7 +127,8 @@ int main(int argc, char** argv) {
         request.frames.push_back(random_frame(rng, atoms, box));
       }
       const auto sent = std::chrono::steady_clock::now();
-      const util::Json reply = exchange(fd, serve::encode_eval_request(request));
+      const util::Json reply =
+          hpc::net::exchange(fd, serve::encode_eval_request(request));
       total_latency +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() - sent)
               .count();

@@ -80,7 +80,8 @@ void add_backend_flags(ArgParser& parser, const BackendFlagOptions& options) {
     parser.add_flag("--workers",
                     "process cluster: worker subprocesses, default 0 (= nodes)");
     parser.add_flag("--worker-binary",
-                    "process cluster: dpho_worker path, default next to the tool");
+                    "process cluster: dpho_worker path, default the one built"
+                    " with this tool");
   }
   parser.add_flag("--threads", "worker threads, default " +
                                    std::to_string(options.default_threads));
@@ -116,7 +117,8 @@ BackendFlags parse_backend_flags(const ArgParser& parser,
                        flags.cluster);
     }
     flags.workers = count_flag(parser, "--workers", 0);
-    flags.worker_binary = parser.get("--worker-binary", std::string());
+    flags.worker_binary =
+        parser.get("--worker-binary", std::string(DPHO_WORKER_BIN));
   }
   flags.threads = count_flag(parser, "--threads", options.default_threads);
   flags.metrics_out = parser.get("--metrics-out", std::string());

@@ -51,7 +51,7 @@ class ArgParser {
 struct BackendFlags {
   std::string cluster = "sim";       // sim | process
   std::size_t workers = 0;           // 0 = derived from the node count
-  std::string worker_binary;         // empty = resolve next to the executable
+  std::string worker_binary;         // default: the dpho_worker of this build
   std::size_t threads = 2;           // worker threads for payload evaluation
   std::string metrics_out;           // JSONL event timeline; empty = disabled
   std::size_t metrics_interval = 0;  // snapshot cadence; 0 = off

@@ -1,14 +1,21 @@
 // Length-prefixed framing over loopback TCP: round trips, incremental
-// decoding, protocol-violation handling, and listener rebind.
+// decoding, protocol-violation handling and listener rebind; the shared
+// "t"-tagged codec helpers; and the one daemon poll loop (net::Loop) under
+// hostile peers.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "hpc/net/frame.hpp"
+#include "hpc/net/loop.hpp"
 #include "hpc/net/wire.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -322,6 +329,240 @@ TEST(NetWire, ResultFramesRoundTrip) {
   EXPECT_DOUBLE_EQ(back.sim_minutes, result.sim_minutes);
   EXPECT_EQ(back.attempts, result.attempts);
   EXPECT_EQ(back.cause, result.cause);
+}
+
+TEST(NetWire, MessageTypeNeedsAStringTag) {
+  EXPECT_EQ(message_type(util::Json::parse("{\"t\":\"hb\"}")), kMsgHeartbeat);
+  for (const char* bad : {"[]", "{}", "{\"t\":5}", "{\"t\":null}"}) {
+    EXPECT_THROW(message_type(util::Json::parse(bad)), util::ParseError) << bad;
+  }
+  EXPECT_THROW(expect_type(encode_shutdown(), kMsgTask), util::ParseError);
+}
+
+TEST(NetWire, WorkerDecodersRefuseNumbersTheyCannotCast) {
+  for (const double bad : {-1.0, 2.5, 1e30, 0x1p53}) {
+    util::Json hello = encode_hello(3, 4711);
+    hello["token"] = bad;
+    EXPECT_THROW(hello_token(hello), util::ValueError) << bad;
+
+    TaskSpec spec;
+    spec.id = 4;
+    spec.eval_seed = 1;
+    util::Json task = encode_task(spec, 0.0);
+    task["id"] = bad;
+    EXPECT_THROW(decode_task(task), util::ValueError) << bad;
+
+    util::Json result = encode_result(9, WorkResult{});
+    result["id"] = bad;
+    EXPECT_THROW(result_id(result), util::ValueError) << bad;
+    result = encode_result(9, WorkResult{});
+    result["attempts"] = bad;
+    EXPECT_THROW(decode_result(result), util::ValueError) << bad;
+  }
+  util::Json result = encode_result(9, WorkResult{});
+  result["attempts"] = "2";
+  EXPECT_THROW(decode_result(result), util::ParseError);
+  // An absent attempt count still means one attempt.
+  const util::Json full = encode_result(9, WorkResult{});
+  util::Json bare;
+  for (const auto& [key, value] : full.as_object()) {
+    if (key != "attempts") bare[key] = value;
+  }
+  EXPECT_EQ(decode_result(bare).attempts, 1u);
+  EXPECT_EQ(hello_token(encode_hello(3, 4711)), 3u);
+}
+
+TEST(NetWire, RequestIdIsRecoveredOnlyWhenWireExact) {
+  EXPECT_EQ(request_id(util::Json::parse("{\"t\":\"x\",\"id\":7}")), 7u);
+  // Absent or non-numeric: no id to recover, the decoder refuses later.
+  EXPECT_EQ(request_id(util::Json::parse("{\"t\":\"x\"}")), 0u);
+  EXPECT_EQ(request_id(util::Json::parse("{\"id\":\"7\"}")), 0u);
+  EXPECT_EQ(request_id(util::Json::parse("[7]")), 0u);
+  for (const char* bad : {"-1", "2.5", "1e30", "9007199254740992"}) {
+    EXPECT_THROW(
+        request_id(util::Json::parse(std::string("{\"id\":") + bad + "}")),
+        util::ValueError)
+        << bad;
+  }
+}
+
+TEST(NetWire, ErrorEnvelopeRoundTripsAndNeedsEveryField) {
+  const util::Json wire = encode_error({5, "overloaded", "queue full"});
+  EXPECT_EQ(wire.dump(),
+            "{\"t\":\"error\",\"id\":5,\"code\":\"overloaded\","
+            "\"message\":\"queue full\"}");
+  const ErrorEnvelope back = decode_error(wire);
+  EXPECT_EQ(back.id, 5u);
+  EXPECT_EQ(back.code, "overloaded");
+  EXPECT_EQ(back.message, "queue full");
+  for (const char* key : {"id", "code", "message"}) {
+    util::Json partial;
+    for (const auto& [k, v] : wire.as_object()) {
+      if (k != key) partial[k] = v;
+    }
+    EXPECT_THROW(decode_error(partial), util::ParseError) << key;
+  }
+}
+
+// --- net::Loop -------------------------------------------------------------
+
+/// Raw bytes of a length prefix promising `length` payload bytes.
+std::string prefix(std::uint32_t length) {
+  std::string bytes;
+  for (const int shift : {24, 16, 8, 0}) {
+    bytes.push_back(static_cast<char>((length >> shift) & 0xFF));
+  }
+  return bytes;
+}
+
+void send_raw(int fd, const std::string& bytes) {
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+/// A Loop plus a record of what its handlers saw.
+struct LoopProbe {
+  explicit LoopProbe(std::uint32_t max_frame_bytes = kMaxFramePayload)
+      : loop(max_frame_bytes) {
+    loop.listener().open();
+  }
+
+  /// Polls until `done()` holds; false after five seconds.
+  bool poll_until(const std::function<bool()>& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      loop.poll(
+          0.005,
+          [&](const ConnectionPtr& connection, const std::string& payload) {
+            frames.push_back(payload);
+            if (on_frame) on_frame(connection, payload);
+          },
+          [&](const ConnectionPtr& connection) {
+            closed.push_back(connection->reader.error());
+            if (on_closed) on_closed(connection);
+          });
+      if (done()) return true;
+    }
+    return false;
+  }
+
+  Loop loop;
+  std::vector<std::string> frames;
+  std::vector<FrameError> closed;
+  Loop::FrameHandler on_frame;
+  Loop::CloseHandler on_closed;
+};
+
+TEST(NetLoop, TruncatedFrameThenCloseIsReportedAsAClose) {
+  LoopProbe probe;
+  const int client = connect_loopback(probe.loop.listener().port());
+  send_raw(client, prefix(64) + "12345678");
+  ::close(client);
+  ASSERT_TRUE(probe.poll_until([&] { return !probe.closed.empty(); }));
+  EXPECT_TRUE(probe.frames.empty());
+  EXPECT_EQ(probe.closed, std::vector<FrameError>{FrameError::kClosed});
+  EXPECT_TRUE(probe.loop.connections().empty());
+}
+
+TEST(NetLoop, OversizedPrefixIsReportedWhileTheFdCanStillAnswer) {
+  LoopProbe probe(/*max_frame_bytes=*/64);
+  probe.on_closed = [](const ConnectionPtr& connection) {
+    EXPECT_EQ(connection->reader.oversized_length(), 0x7F7F7F7Fu);
+    EXPECT_TRUE(Loop::send(connection, "{\"t\":\"error\"}"));
+  };
+  const int client = connect_loopback(probe.loop.listener().port());
+  send_raw(client, prefix(0x7F7F7F7F));  // ~2 GiB: refused from the prefix
+  ASSERT_TRUE(probe.poll_until([&] { return !probe.closed.empty(); }));
+  EXPECT_EQ(probe.closed, std::vector<FrameError>{FrameError::kOversized});
+  // The refusal written from on_closed arrives first, then EOF.
+  EXPECT_EQ(read_frame(client).value_or(""), "{\"t\":\"error\"}");
+  EXPECT_FALSE(read_frame(client).has_value());
+  ::close(client);
+}
+
+TEST(NetLoop, ASilentHalfFrameDoesNotHoldUpOtherConnections) {
+  LoopProbe probe;
+  probe.on_frame = [](const ConnectionPtr& connection, const std::string&) {
+    EXPECT_TRUE(Loop::send(connection, "{\"t\":\"ok\"}"));
+  };
+  const int silent = connect_loopback(probe.loop.listener().port());
+  send_raw(silent, prefix(64) + "{\"t\":");
+  const int chatty = connect_loopback(probe.loop.listener().port());
+  ASSERT_TRUE(write_frame(chatty, "{\"t\":\"ping\"}"));
+  ASSERT_TRUE(probe.poll_until([&] { return !probe.frames.empty(); }));
+  EXPECT_EQ(read_frame(chatty).value_or(""), "{\"t\":\"ok\"}");
+  EXPECT_EQ(probe.frames, std::vector<std::string>{"{\"t\":\"ping\"}"});
+  EXPECT_TRUE(probe.closed.empty());
+  EXPECT_EQ(probe.loop.connections().size(), 2u);
+  ::close(silent);
+  ::close(chatty);
+}
+
+TEST(NetLoop, ResetInTheMiddleOfAFrameIsReportedAsAReset) {
+  LoopProbe probe;
+  const int client = connect_loopback(probe.loop.listener().port());
+  send_raw(client, prefix(64) + "1234");
+  ASSERT_TRUE(
+      probe.poll_until([&] { return probe.loop.connections().size() == 1; }));
+  // Linger 0: close() sends RST instead of FIN.
+  const linger abort_on_close{1, 0};
+  ::setsockopt(client, SOL_SOCKET, SO_LINGER, &abort_on_close,
+               sizeof(abort_on_close));
+  ::close(client);
+  ASSERT_TRUE(probe.poll_until([&] { return !probe.closed.empty(); }));
+  EXPECT_TRUE(probe.frames.empty());
+  EXPECT_EQ(probe.closed, std::vector<FrameError>{FrameError::kReset});
+}
+
+TEST(NetLoop, RebindKeepsEstablishedConnections) {
+  LoopProbe probe;
+  const int early = connect_loopback(probe.loop.listener().port());
+  ASSERT_TRUE(
+      probe.poll_until([&] { return probe.loop.connections().size() == 1; }));
+  probe.loop.listener().rebind();
+  ASSERT_TRUE(probe.loop.listener().is_open());
+  const int late = connect_loopback(probe.loop.listener().port());
+  ASSERT_TRUE(write_frame(early, "{\"t\":\"a\"}"));
+  ASSERT_TRUE(write_frame(late, "{\"t\":\"b\"}"));
+  ASSERT_TRUE(probe.poll_until([&] { return probe.frames.size() == 2; }));
+  EXPECT_EQ(probe.loop.connections().size(), 2u);
+  EXPECT_TRUE(probe.closed.empty());
+  ::close(early);
+  ::close(late);
+}
+
+TEST(NetLoop, APeerThatNeverReadsIsDropped) {
+  LoopProbe probe;
+  const int client = connect_loopback(probe.loop.listener().port());
+  ASSERT_TRUE(
+      probe.poll_until([&] { return probe.loop.connections().size() == 1; }));
+  const ConnectionPtr connection = probe.loop.connections().front();
+
+  // Megabyte replies the client never reads: once the socket buffers are
+  // full, the one-second write stall drops the connection.
+  const std::string reply(1u << 20, 'x');
+  int sent = 0;
+  while (sent < 256 && Loop::send(connection, reply)) ++sent;
+  EXPECT_LT(sent, 256);
+  EXPECT_FALSE(connection->alive.load());
+  EXPECT_FALSE(Loop::send(connection, "{}"));
+
+  ASSERT_TRUE(probe.poll_until([&] { return !probe.closed.empty(); }));
+  EXPECT_TRUE(probe.loop.connections().empty());
+  // The client sees the end of the stream once it reads what was queued.
+  const timeval tick{0, 100000};
+  ::setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &tick, sizeof(tick));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  char sink[64 * 1024];
+  bool eof = false;
+  while (!eof && std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::recv(client, sink, sizeof(sink), 0);
+    eof = n == 0 || (n < 0 && errno == ECONNRESET);
+  }
+  EXPECT_TRUE(eof);
+  ::close(client);
 }
 
 }  // namespace

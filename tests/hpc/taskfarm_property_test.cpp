@@ -2,6 +2,7 @@
 // (nodes x tasks) grid the experiments exercise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -67,11 +68,14 @@ TEST_P(FarmGrid, MakespanNeverBelowLongestTask) {
   config.job.nodes = nodes;
   config.real_threads = 2;
   DaskCluster farm(ClusterSpec::testbed(nodes), config);
+  const auto minutes = [](std::size_t i) {
+    return 10.0 + static_cast<double>((i * 37) % 50);
+  };
+  // Computed here, not in the task body: tasks run on pool threads.
   double longest = 0.0;
+  for (std::size_t i = 0; i < tasks; ++i) longest = std::max(longest, minutes(i));
   const BatchReport report = farm.run_batch(tasks, [&](std::size_t i) {
-    const double minutes = 10.0 + static_cast<double>((i * 37) % 50);
-    if (minutes > longest) longest = minutes;
-    return WorkResult{{0.0, 0.0}, minutes, false};
+    return WorkResult{{0.0, 0.0}, minutes(i), false};
   });
   EXPECT_GE(report.makespan_minutes + 1e-9, longest);
   // And never above the serial sum.

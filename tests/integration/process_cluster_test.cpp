@@ -382,6 +382,15 @@ TEST_F(ProcessClusterChaos, RequiresAWorkerBinary) {
   EXPECT_THROW(
       ProcessCluster(ClusterSpec::testbed(4), farm(), ProcessClusterConfig{}),
       util::ValueError);
+  // A path that cannot exec would only show up as every worker dying before
+  // its handshake -- and a silent fall back to in-process evaluation.
+  for (const char* unusable : {"/nonexistent/dpho_worker", "/tmp"}) {
+    ProcessClusterConfig cluster_config = config(1);
+    cluster_config.worker_binary = unusable;
+    EXPECT_THROW(ProcessCluster(ClusterSpec::testbed(4), farm(), cluster_config),
+                 util::ValueError)
+        << unusable;
+  }
 }
 
 }  // namespace

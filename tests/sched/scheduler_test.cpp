@@ -12,7 +12,9 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -24,6 +26,8 @@
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
+
+#include "../support/stall_client.hpp"
 
 namespace dpho::sched {
 namespace {
@@ -207,6 +211,32 @@ TEST(Scheduler, ServerRefusesOutOfRangeRequestIds) {
     EXPECT_EQ(refused.code, ErrorCode::kBadRequest) << bad;
   }
   ::close(fd);
+}
+
+TEST(Scheduler, AClientThatNeverReadsCannotStallTheDaemon) {
+  const auto evaluator = core::make_evaluator(core::EvalBackendConfig{});
+  util::TempDir dir("sched-flood");
+  Server server(ServerOptions{.scheduler = options_in(dir.path())}, *evaluator);
+  server.start();
+  for (std::uint64_t i = 0; i < 4; ++i) {  // four rows: ~1 KB per list reply
+    server.scheduler().submit(quick_spec("t" + std::to_string(i), i + 1));
+  }
+  std::thread daemon([&server] { server.serve_forever(); });
+
+  // Pipelined list requests whose replies back up until the daemon's write
+  // to the flooder stalls.
+  const int flooder = testsupport::flood(
+      server.port(), encode_list_request(ListRequest{1}), 1u << 20);
+  const std::optional<util::Json> reply = testsupport::exchange_within(
+      server.port(), encode_list_request(ListRequest{2}), 3.0);
+  const bool dropped = testsupport::reaches_eof(flooder, 5.0);
+  ::close(flooder);
+  server.request_stop();
+  daemon.join();
+
+  ASSERT_TRUE(reply.has_value()) << "no reply within 3 s";
+  EXPECT_EQ(decode_result_reply(*reply).body.at("runs").as_array().size(), 4u);
+  EXPECT_TRUE(dropped) << "the flooder was never dropped";
 }
 
 TEST(Scheduler, CancelLeavesTheOtherTenantUntouched) {

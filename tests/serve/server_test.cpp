@@ -1,6 +1,7 @@
 // In-process dp_serve Server tests: catalog, byte-exact replies vs direct
 // dp::Potential evaluation (including concurrent mixed-model clients), typed
-// error replies, backpressure, mid-frame disconnects, and graceful drain.
+// error replies, backpressure, mid-frame disconnects, clients that never
+// read their replies, and graceful drain.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -19,12 +20,13 @@
 #include "util/error.hpp"
 #include "util/fs.hpp"
 
+#include "../support/stall_client.hpp"
 #include "serve_harness.hpp"
 
 namespace dpho::serve {
 namespace {
 
-using test_harness::exchange;
+using hpc::net::exchange;
 using test_harness::make_archive;
 
 bool bits_equal(double a, double b) {
@@ -382,6 +384,27 @@ TEST(Server, MidFrameDisconnectLeavesTheServerServing) {
   EXPECT_GT(obs::metrics().counter("serve.disconnects").value(),
             disconnects_before);
   server.stop();
+}
+
+TEST(Server, AClientThatNeverReadsCannotStallTheOthers) {
+  util::TempDir dir;
+  make_archive(dir.path() / "a", 8);  // 8 catalog rows: ~1 KB per reply
+  Server server({.archive_dir = dir.path() / "a"});
+  server.start();
+
+  // Pipelined catalog requests whose replies back up until the IO thread's
+  // write to the flooder stalls.
+  const int flooder =
+      testsupport::flood(server.port(), encode_catalog_request(1), 1u << 20);
+  const std::optional<util::Json> reply = testsupport::exchange_within(
+      server.port(), encode_catalog_request(2), 3.0);
+  const bool dropped = testsupport::reaches_eof(flooder, 5.0);
+  ::close(flooder);
+  server.stop();
+
+  ASSERT_TRUE(reply.has_value()) << "no reply within 3 s";
+  EXPECT_EQ(decode_catalog_reply(*reply).size(), 8u);
+  EXPECT_TRUE(dropped) << "the flooder was never dropped";
 }
 
 TEST(Server, DrainAnswersQueuedRequestsThenStops) {
