@@ -3,7 +3,10 @@
 // DeepPot-SE evaluation (dp::Potential), an NNP MD step (dp::MdSession), and
 // one full training step.  These
 // support the paper's framing that the per-individual training dominates the
-// workflow cost (everything around it is negligible).
+// workflow cost (everything around it is negligible).  The dp_serve codec
+// rows (a 160-atom reply encoded, a 160-atom request parsed) show the same
+// for the serving path: the JSON around an evaluation next to the
+// evaluation itself.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -17,6 +20,8 @@
 #include "md/session.hpp"
 #include "md/simulation.hpp"
 #include "nn/optimizer.hpp"
+#include "serve/protocol.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -82,6 +87,48 @@ void BM_NeighborList160Atoms(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NeighborList160Atoms);
+
+/// One 160-atom paper-system frame with its reference forces and energy: a
+/// full-size dp_serve message body.
+const md::Frame& frame160() {
+  static const md::Frame kFrame = [] {
+    util::Rng rng(5);
+    const md::SystemState md_state =
+        md::SystemSpec::paper_system().create_initial_state(498.0, rng);
+    md::ReferenceSession session(md::ReferencePotential(8.5));
+    md::Frame frame;
+    frame.positions = md_state.positions;
+    frame.box_length = md_state.box_length;
+    frame.forces.resize(md_state.size());
+    frame.energy = session.compute(md_state, frame.forces);
+    return frame;
+  }();
+  return kFrame;
+}
+
+void BM_EncodeEvalReply160(benchmark::State& state) {
+  const md::Frame& frame = frame160();
+  serve::EvalReply reply{1, "m0", {frame.energy}, {{}}};
+  for (const md::Vec3& f : frame.forces) {
+    reply.forces[0].insert(reply.forces[0].end(), {f[0], f[1], f[2]});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::encode_eval_reply(reply).dump());
+  }
+}
+BENCHMARK(BM_EncodeEvalReply160);
+
+void BM_ParseEvalRequest160(benchmark::State& state) {
+  md::Frame bare;
+  bare.positions = frame160().positions;
+  bare.box_length = frame160().box_length;
+  const std::string text =
+      serve::encode_eval_request(serve::EvalRequest{1, "m0", true, {bare}}).dump();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::decode_eval_request(util::Json::parse(text)));
+  }
+}
+BENCHMARK(BM_ParseEvalRequest160);
 
 dp::DeepPotModel fixture_model() {
   const auto& f = Fixture::instance();

@@ -16,8 +16,10 @@ namespace {
 
 std::string format_number(double value) {
   char buffer[64];
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::abs(value) < 1e15) {
+  // Range first: converting a double past the long long range (or NaN) is
+  // undefined behaviour, so the cast must only see |value| < 1e15.
+  if (std::abs(value) < 1e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
     std::snprintf(buffer, sizeof buffer, "%lld", static_cast<long long>(value));
   } else {
     std::snprintf(buffer, sizeof buffer, "%.6g", value);
@@ -39,11 +41,19 @@ void render_scalar_table(std::ostringstream& out, const std::string& title,
   }
 }
 
+// A histogram or bucket count; a negative or out-of-range value would make
+// the cast undefined, so it is refused.
+std::uint64_t count_of(const util::Json& value) {
+  const std::int64_t count = value.as_int();
+  if (count < 0) throw util::ValueError("histogram count is negative");
+  return static_cast<std::uint64_t>(count);
+}
+
 void render_histograms(std::ostringstream& out, const util::Json& histograms) {
   if (!histograms.is_object() || histograms.as_object().empty()) return;
   out << "  histograms:\n";
   for (const auto& [name, hist] : histograms.as_object()) {
-    const auto count = static_cast<std::uint64_t>(hist.at("count").as_number());
+    const std::uint64_t count = count_of(hist.at("count"));
     out << "    " << name << "  count=" << count
         << " sum=" << format_number(hist.at("sum").as_number());
     if (hist.contains("min")) {
@@ -54,11 +64,10 @@ void render_histograms(std::ostringstream& out, const util::Json& histograms) {
     if (count == 0) continue;
     std::uint64_t peak = 0;
     for (const util::Json& bucket : hist.at("buckets").as_array()) {
-      peak = std::max(peak,
-                      static_cast<std::uint64_t>(bucket.at("count").as_number()));
+      peak = std::max(peak, count_of(bucket.at("count")));
     }
     for (const util::Json& bucket : hist.at("buckets").as_array()) {
-      const auto n = static_cast<std::uint64_t>(bucket.at("count").as_number());
+      const std::uint64_t n = count_of(bucket.at("count"));
       if (n == 0) continue;
       const std::string le = bucket.at("le").is_string()
                                  ? bucket.at("le").as_string()

@@ -1,10 +1,9 @@
 #include "util/json.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <system_error>
 
 #include "util/error.hpp"
 
@@ -135,32 +134,42 @@ void escape_string(const std::string& s, std::string& out) {
   out.push_back('"');
 }
 
+// Shortest decimal that parses back to `d`, laid out as printf's "%.Pg" for
+// the smallest such precision P (integral values under 1e15 as "%.0f").
+// Ryu's shortest digit string gives the lower bound on P, since no shorter
+// string round-trips; "%.Pg" is the correctly rounded P-digit string, which
+// may miss the rounding interval when the shortest string chose another
+// P-digit neighbour, so P steps up until it parses back.  17 digits always
+// do.
 void format_number(double d, std::string& out) {
-  if (std::isnan(d) || std::isinf(d)) {
+  if (!std::isfinite(d)) {
     // JSON has no NaN/Inf; emit null, mirroring Python's json with allow_nan
     // disabled semantics we actually want for robust round-trips.
     out += "null";
     return;
   }
-  const double rounded = std::nearbyint(d);
-  if (d == rounded && std::abs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", d);
-    out += buf;
+  char buf[32];
+  char* const end = buf + sizeof buf;
+  if (d == std::nearbyint(d) && std::abs(d) < 1e15) {
+    out.append(buf, std::to_chars(buf, end, d, std::chars_format::fixed, 0).ptr);
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  // Trim to shortest representation that round-trips.
-  for (int precision = 1; precision <= 17; ++precision) {
-    char shorter[40];
-    std::snprintf(shorter, sizeof shorter, "%.*g", precision, d);
-    if (std::strtod(shorter, nullptr) == d) {
-      out += shorter;
+  const char* const shortest =
+      std::to_chars(buf, end, d, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* c = buf; c != shortest && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++precision;
+  }
+  for (;; ++precision) {
+    char* const text =
+        std::to_chars(buf, end, d, std::chars_format::general, precision).ptr;
+    double back = 0.0;
+    std::from_chars(buf, text, back);
+    if (back == d || precision >= 17) {
+      out.append(buf, text);
       return;
     }
   }
-  out += buf;
 }
 
 class Parser {
@@ -168,13 +177,18 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json parse_document() {
-    Json value = parse_value();
+    Json value = parse_value(0);
     skip_whitespace();
     if (pos_ != text_.size()) fail("trailing characters after document");
     return value;
   }
 
  private:
+  // Containers nest by recursion, so a frame of 16 MB of '[' would overflow
+  // the stack long before it ran out of bytes; a container inside this many
+  // others is refused instead.
+  static constexpr int kMaxDepth = 256;
+
   [[noreturn]] void fail(const std::string& message) const {
     throw ParseError(message + " at offset " + std::to_string(pos_));
   }
@@ -210,11 +224,12 @@ class Parser {
     return false;
   }
 
-  Json parse_value() {
+  // `depth` counts the containers enclosing the value.
+  Json parse_value(int depth) {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth);
+      case '[': return parse_array(depth);
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -229,8 +244,15 @@ class Parser {
     }
   }
 
-  Json parse_object() {
+  void check_depth(int depth) const {
+    if (depth >= kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
+  }
+
+  Json parse_object(int depth) {
     expect('{');
+    check_depth(depth);
     JsonObject object;
     if (peek() == '}') {
       ++pos_;
@@ -240,7 +262,7 @@ class Parser {
       if (peek() != '"') fail("expected object key string");
       std::string key = parse_string();
       expect(':');
-      object[key] = parse_value();
+      object[key] = parse_value(depth + 1);
       const char c = peek();
       if (c == ',') {
         ++pos_;
@@ -255,15 +277,16 @@ class Parser {
     return Json(std::move(object));
   }
 
-  Json parse_array() {
+  Json parse_array(int depth) {
     expect('[');
+    check_depth(depth);
     JsonArray array;
     if (peek() == ']') {
       ++pos_;
       return Json(std::move(array));
     }
     while (true) {
-      array.push_back(parse_value());
+      array.push_back(parse_value(depth + 1));
       const char c = peek();
       if (c == ',') {
         ++pos_;
@@ -330,21 +353,40 @@ class Parser {
     return out;
   }
 
+  // RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?, converted
+  // in place; a number no double holds (overflow to inf, underflow to 0) is
+  // refused rather than rounded.
   Json parse_number() {
     skip_whitespace();
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
+    const auto digits = [this] {
+      const std::size_t first = pos_;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
+      return pos_ - first;
+    };
+    const auto at = [this](char c) { return pos_ < text_.size() && text_[pos_] == c; };
+    if (at('-')) ++pos_;
+    const std::size_t integer_start = pos_;
+    const std::size_t integer_digits = digits();
+    if (integer_digits == 0) fail(pos_ == start ? "expected a value" : "invalid number");
+    if (integer_digits > 1 && text_[integer_start] == '0') {
+      fail("invalid number: leading zero");
     }
-    if (pos_ == start) fail("expected a value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("invalid number: " + token);
+    if (at('.')) {
+      ++pos_;
+      if (digits() == 0) fail("invalid number: no digits after '.'");
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (digits() == 0) fail("invalid number: no exponent digits");
+    }
+    double value = 0.0;
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::result_out_of_range) fail("number out of double range");
+    if (ec != std::errc{} || ptr != last) fail("invalid number");
     return Json(value);
   }
 

@@ -4,6 +4,14 @@
 // and for experiment result records.  Supports the JSON data model with
 // doubles for all numbers; preserves object insertion order so emitted
 // configuration files diff cleanly.
+//
+// Numbers print in shortest round-trip form with fixed text (integral
+// values under 1e15 as "%.0f", others as "%.Pg" for the smallest P that
+// reads back exactly), via std::to_chars; NaN and infinities print as null.
+// The parser is strict: numbers must follow RFC 8259's grammar (no "+1",
+// "01", "1." or ".5") and lie in the double range (no "1e400", "1e-400"),
+// and containers nest at most 256 levels deep; anything else is a
+// ParseError, so a hostile frame cannot overflow a daemon's stack.
 #pragma once
 
 #include <cstdint>

@@ -100,5 +100,45 @@ TEST_F(DphoReportCli, BadUsageFails) {
             1);
 }
 
+// Values past the long long range take the "%.6g" branch; the integer
+// check must not convert them first, nor may a histogram count be cast
+// unchecked (undefined behaviour, which the asan-ubsan preset's
+// float-cast-overflow check turns into a failure).
+TEST(DphoReportSummary, RendersValuesPastTheIntegerRange) {
+  const util::TempDir dir;
+  const std::filesystem::path input = dir.path() / "summary.json";
+  util::write_file(input, R"({"schema": "dpho.metrics.v1",
+    "deterministic": {"counters": {"big": 1e300, "exact": 42},
+                      "gauges": {"negative": -1e19, "fraction": 0.25},
+                      "histograms": {}},
+    "timing": {"counters": {}, "gauges": {}, "histograms": {
+      "seconds": {"count": 1, "sum": 1e300, "min": -1e19, "max": 1e300,
+                  "buckets": [{"le": 1e300, "count": 1}]}}}})");
+  const std::filesystem::path report = dir.path() / "report.txt";
+  ASSERT_EQ(run_command(std::string(DPHO_REPORT_BIN) + " --summary " +
+                        input.string() + " --out " + report.string()),
+            0);
+  const std::string text = util::read_file(report);
+  EXPECT_NE(text.find("big    1e+300\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("exact  42\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("negative  -1e+19\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("fraction  0.25\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("sum=1e+300 min=-1e+19 max=1e+300"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("le 1e+300"), std::string::npos) << text;
+
+  // A count no uint64 holds is refused, not cast.
+  for (const char* count : {"-1", "1e300"}) {
+    util::write_file(input, std::string(R"({"schema": "dpho.metrics.v1",
+      "deterministic": {"counters": {}, "gauges": {}, "histograms": {
+        "h": {"count": )") + count + R"(, "sum": 0, "buckets": []}}},
+      "timing": {"counters": {}, "gauges": {}, "histograms": {}}})");
+    EXPECT_EQ(run_command(std::string(DPHO_REPORT_BIN) + " --summary " +
+                          input.string() + " > /dev/null 2>&1"),
+              1)
+        << count;
+  }
+}
+
 }  // namespace
 }  // namespace dpho

@@ -213,6 +213,33 @@ TEST(Scheduler, ServerRefusesOutOfRangeRequestIds) {
   ::close(fd);
 }
 
+TEST(Scheduler, ServerRefusesDeeplyNestedRequestsAndKeepsServing) {
+  const auto evaluator = core::make_evaluator(core::EvalBackendConfig{});
+  util::TempDir dir("sched-nesting");
+  Server server(ServerOptions{.scheduler = options_in(dir.path())}, *evaluator);
+  server.start();
+  const auto ask = [&](int fd, const std::string& payload) {
+    EXPECT_TRUE(hpc::net::write_frame(fd, payload));
+    pollfd reply{fd, POLLIN, 0};
+    for (int round = 0; round < 5000 && ::poll(&reply, 1, 0) == 0; ++round) {
+      server.poll_once();
+    }
+    return util::Json::parse(hpc::net::read_frame(fd).value());
+  };
+
+  // Deep enough to overflow the daemon's stack with no nesting limit.
+  const int attacker = hpc::net::connect_loopback(server.port());
+  const ErrorReply refused = decode_error(ask(attacker, std::string(100000, '[')));
+  EXPECT_EQ(refused.id, 0u);
+  EXPECT_EQ(refused.code, ErrorCode::kBadRequest);
+  ::close(attacker);
+
+  const int client = hpc::net::connect_loopback(server.port());
+  const util::Json listed = ask(client, encode_list_request(ListRequest{4}).dump());
+  EXPECT_EQ(decode_result_reply(listed).id, 4u);
+  ::close(client);
+}
+
 TEST(Scheduler, AClientThatNeverReadsCannotStallTheDaemon) {
   const auto evaluator = core::make_evaluator(core::EvalBackendConfig{});
   util::TempDir dir("sched-flood");

@@ -229,13 +229,15 @@ TEST(Server, InvalidGeometryGetsBadRequest) {
   small_box.frames[0].box_length = 5.0;
   expect_bad_request(exchange(client.fd, encode_eval_request(small_box)), 21);
 
-  // JSON's 1e999 parses to infinity: a non-finite coordinate.
+  // 1e999 is past the double range: the parser refuses it instead of
+  // reading infinity, so no non-finite coordinate reaches the model and the
+  // refusal comes before the id is read.
   EvalRequest infinite = make_request(22, "m0", 4, 1);
   infinite.frames[0].positions[0][0] = 12345.5;
   std::string text = encode_eval_request(infinite).dump();
   text.replace(text.find("12345.5"), 7, "1e999");
   ASSERT_TRUE(hpc::net::write_frame(client.fd, text));
-  expect_bad_request(util::Json::parse(*hpc::net::read_frame(client.fd)), 22);
+  expect_bad_request(util::Json::parse(*hpc::net::read_frame(client.fd)), 0);
 
   // A huge but finite box is valid input: an isolated cluster.
   EvalRequest huge_box = make_request(23, "m0", 4, 1);
@@ -287,6 +289,27 @@ TEST(Server, MalformedJsonKeepsTheConnectionUsable) {
 
   // The same connection still serves a well-formed request afterwards.
   const EvalRequest request = make_request(2, "m0", 9, 1);
+  EXPECT_TRUE(reply_matches_direct(
+      archive, request, exchange(client.fd, encode_eval_request(request))));
+  server.stop();
+}
+
+TEST(Server, DeeplyNestedRequestGetsBadRequestAndTheServerKeepsServing) {
+  util::TempDir dir;
+  const dp::ModelArchive archive = make_archive(dir.path() / "a", 1);
+  Server server({.archive_dir = dir.path() / "a"});
+  server.start();
+  {
+    // Deep enough to overflow the IO thread's stack with no nesting limit.
+    ClientFd attacker(server.port());
+    ASSERT_TRUE(hpc::net::write_frame(attacker.fd, std::string(100000, '[')));
+    const ErrorReply error =
+        decode_error(util::Json::parse(*hpc::net::read_frame(attacker.fd)));
+    EXPECT_EQ(error.id, 0u);
+    EXPECT_EQ(error.code, ErrorCode::kBadRequest);
+  }
+  ClientFd client(server.port());
+  const EvalRequest request = make_request(3, "m0", 5, 1);
   EXPECT_TRUE(reply_matches_direct(
       archive, request, exchange(client.fd, encode_eval_request(request))));
   server.stop();
