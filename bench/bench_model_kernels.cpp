@@ -434,11 +434,11 @@ int main(int argc, char** argv) {
     entry["name"] = result.config.name;
     entry["sel"] = result.config.sel;
     util::JsonArray neuron;
-    for (const std::size_t n : result.config.neuron) neuron.push_back(util::Json(n));
+    for (const std::size_t n : result.config.neuron) neuron.emplace_back(n);
     entry["neuron"] = util::Json(std::move(neuron));
     entry["axis_neuron"] = result.config.axis_neuron;
     util::JsonArray fitting;
-    for (const std::size_t n : result.config.fitting) fitting.push_back(util::Json(n));
+    for (const std::size_t n : result.config.fitting) fitting.emplace_back(n);
     entry["fitting_neuron"] = util::Json(std::move(fitting));
     entry["atoms"] = result.atoms;
     entry["pairs"] = result.pairs;

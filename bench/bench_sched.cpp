@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
       entry["runs"] = p.runs;
       entry["workers"] = p.workers;
       util::JsonArray weights;
-      for (const std::size_t w : p.weights) weights.push_back(util::Json(w));
+      for (const std::size_t w : p.weights) weights.emplace_back(w);
       entry["weights"] = std::move(weights);
       entry["completions"] = p.completions;
       entry["evals_per_sec"] = p.evals_per_sec;

@@ -1,7 +1,8 @@
 // Substrate micro-benchmarks: the kernels a real (non-surrogate) evaluation
 // spends its time in -- MD stepping for data generation, whole-frame
-// DeepPot-SE evaluation (dp::Potential), an NNP MD step (dp::MdSession), and
-// one full training step.  These
+// DeepPot-SE evaluation (dp::Potential), an NNP MD step (dp::MdSession), one
+// MdSession embedding tile through the batched MLP forward, and one full
+// training step.  These
 // support the paper's framing that the per-individual training dominates the
 // workflow cost (everything around it is negligible).  The dp_serve codec
 // rows (a 160-atom reply encoded, a 160-atom request parsed) show the same
@@ -19,6 +20,7 @@
 #include "md/integrator.hpp"
 #include "md/session.hpp"
 #include "md/simulation.hpp"
+#include "nn/mlp_kernels.hpp"
 #include "nn/optimizer.hpp"
 #include "serve/protocol.hpp"
 #include "util/json.hpp"
@@ -162,6 +164,29 @@ void BM_NnpMdSessionStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NnpMdSessionStep);
+
+void BM_MlpForwardEmbeddingTile(benchmark::State& state) {
+  // One MdSession recompute tile through the tanh {8,16} embedding net: the
+  // batched dense layers plus one activation pass per layer.  Arg 0 is the
+  // inference/MD forward (y, sigma'), arg 1 the training forward that also
+  // caches sigma''.
+  const dp::DeepPotModel model = fixture_model();
+  const nn::Mlp& net = model.embedding_net(0);
+  const std::size_t rows = dp::MdSession::kTileRows;
+  util::Rng rng(8);
+  std::vector<double> x(rows * net.input_width());
+  for (double& v : x) v = rng.uniform(0.0, 1.0);
+  const nn::Curvature curvature =
+      state.range(0) != 0 ? nn::Curvature::kCache : nn::Curvature::kNone;
+  nn::MlpBatchCache cache;
+  for (auto _ : state) {
+    nn::mlp_forward_batch(net, x, rows, cache, curvature);
+    benchmark::DoNotOptimize(cache.y.back().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rows));
+}
+BENCHMARK(BM_MlpForwardEmbeddingTile)->ArgName("curvature")->Arg(0)->Arg(1);
 
 void BM_FullTrainingStep(benchmark::State& state) {
   // One Adam step on one frame's analytic loss gradient, including the

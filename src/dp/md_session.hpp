@@ -46,6 +46,10 @@ namespace dpho::dp {
 /// count/types and, after the first compute(), to one box length.
 class MdSession final : public md::PotentialSession {
  public:
+  /// Rows per recompute tile for the embedding and fitting nets: bounds the
+  /// per-chunk MlpBatchCache footprint independently of the pair count.
+  static constexpr std::size_t kTileRows = 4096;
+
   /// Shares ownership of `model`; `options.pool` (if any) is borrowed and
   /// must outlive the session.
   explicit MdSession(std::shared_ptr<const DeepPotModel> model,
@@ -64,9 +68,6 @@ class MdSession final : public md::PotentialSession {
 
  private:
   static constexpr std::size_t kNets = md::kNumSpecies * md::kNumSpecies;
-  /// Rows per recompute tile for the embedding and fitting nets: bounds the
-  /// per-chunk MlpBatchCache footprint independently of the pair count.
-  static constexpr std::size_t kTileRows = 4096;
 
   struct Chunk {
     // Live pair geometry (net-major, refreshed in place each step).  Arrays

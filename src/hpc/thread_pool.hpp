@@ -21,6 +21,13 @@ namespace dpho::hpc {
 /// the calling thread claims and executes loop indices itself rather than
 /// blocking on futures, so even when every worker is occupied -- including by
 /// the caller's own enclosing task -- the loop always makes progress.
+///
+/// Thread counts: because the caller drains indices too, parallel_for and
+/// parallel_for_static on a pool of N workers compute on N + 1 threads.  A
+/// ThreadPool(1) runs a loop on two cores, so a serial loop is about 2x
+/// slower than the same loop on a 1-thread pool, and a "1 -> 2 threads"
+/// comparison of the serial path against ThreadPool(2) is 1 -> 3 computing
+/// threads.  Read pool sizes in benchmarks with this in mind.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads);

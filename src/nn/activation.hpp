@@ -3,9 +3,12 @@
 // The paper's genome selects the descriptor-network and fitting-network
 // activation functions from {"relu", "relu6", "softplus", "sigmoid", "tanh"}
 // (section 2.2.1).  Every one of them is implemented for both plain doubles
-// (fast inference) and tape variables (training with autodiff).
+// and tape variables (the autodiff oracle).  The batched MLP kernels run
+// whole layers through activate_layer; the scalar apply / derivative /
+// second_derivative functions are its oracle.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "ad/tape.hpp"
@@ -28,7 +31,7 @@ std::string to_string(Activation activation);
 double apply(Activation activation, double x);
 ad::Var apply(Activation activation, ad::Var x);
 
-/// Analytical first derivative (for the double-based fast path's tests).
+/// Analytical first derivative.
 double derivative(Activation activation, double x);
 
 /// Analytical second derivative.  The analytic training path needs it for the
@@ -37,5 +40,16 @@ double derivative(Activation activation, double x);
 /// subgradient convention as the tape: the step functions have derivative 0
 /// everywhere, so their second derivative is identically 0.
 double second_derivative(Activation activation, double x);
+
+/// One layer's activation pass over the pre-activations `z`: writes
+/// y = sigma(z), sp = sigma'(z) and, when `spp` is non-empty,
+/// spp = sigma''(z).  The activation is resolved once per call, and one
+/// transcendental per element (tanh, or the sigmoid) serves all three
+/// outputs; softplus computes its value besides.  Every output is bitwise
+/// equal to apply / derivative / second_derivative on the same element.
+/// y, sp (and a non-empty spp) must have z.size() entries.
+void activate_layer(Activation activation, std::span<const double> z,
+                    std::span<double> y, std::span<double> sp,
+                    std::span<double> spp);
 
 }  // namespace dpho::nn

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "dp/fast_graph.hpp"
 #include "dp/potential.hpp"
 #include "dp/trainer.hpp"
 #include "hpc/thread_pool.hpp"
@@ -173,6 +174,37 @@ TEST_F(NnpSessionSuite, SteadyStateStepsAllocateNothing) {
     session->compute(state, forces);
   }
   EXPECT_EQ(testsupport::alloc_count(), 0u);
+}
+
+TEST_F(NnpSessionSuite, FusedTrainingStepAllocatesNothing) {
+  // The training kernels (FastGraph::loss_and_grad_fused over the batched
+  // MLP forward, reverse, tangent and reverse-tangent passes) run entirely
+  // in the workspace: after one warm-up call on a fixed batch, another
+  // call allocates nothing and reproduces the gradient bit for bit.
+  const DeepPotModel& model = potential_->model();
+  const FastGraph graph(model);
+  std::vector<FrameGeometry> geometries(4);
+  std::vector<FrameTarget> targets;
+  for (std::size_t f = 0; f < geometries.size(); ++f) {
+    const md::Frame& frame = data_->train.frame(f);
+    build_frame_geometry(model, frame, geometries[f]);
+    targets.push_back(FrameTarget{&geometries[f], frame.energy, frame.forces});
+  }
+  const LossWeights weights{0.5, 20.0};
+  FastWorkspace workspace;
+  std::vector<double> grad(model.num_params());
+  std::vector<double> losses(targets.size());
+  graph.loss_and_grad_fused(targets, weights, workspace, grad, losses);
+  const std::vector<double> warm_grad = grad;
+
+  testsupport::reset_alloc_count();
+  graph.loss_and_grad_fused(targets, weights, workspace, grad, losses);
+  const std::size_t allocs = testsupport::alloc_count();
+
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(std::memcmp(grad.data(), warm_grad.data(),
+                        grad.size() * sizeof(double)),
+            0);
 }
 
 TEST_F(NnpSessionSuite, RejectsWrongAtomCountAndBox) {

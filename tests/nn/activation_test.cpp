@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "ad/tape.hpp"
 #include "util/error.hpp"
@@ -97,6 +101,73 @@ TEST(Activation, CandidateListMatchesPaperDecodeOrder) {
   EXPECT_EQ(kCandidateActivations[2], Activation::kSoftplus);
   EXPECT_EQ(kCandidateActivations[3], Activation::kSigmoid);
   EXPECT_EQ(kCandidateActivations[4], Activation::kTanh);
+}
+
+// activate_layer against the scalar oracle, bit for bit.  The grid holds
+// the branch points and kinks of every activation (0, 6, +-30), the values
+// one ulp either side of each, signed zeros, subnormals, +-700 (exp near
+// overflow), infinities, a NaN, and a dense sweep across [-40, 40].
+std::vector<double> oracle_grid() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> grid = {
+      0.0, -0.0, 6.0, -6.0, 30.0, -30.0, 700.0, -700.0, kInf, -kInf,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 2.0,
+      -std::numeric_limits<double>::min() / 2.0,
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max()};
+  for (const double kink : {0.0, 6.0, -6.0, 30.0, -30.0}) {
+    grid.push_back(std::nextafter(kink, -kInf));
+    grid.push_back(std::nextafter(kink, kInf));
+  }
+  for (double x = -40.0; x <= 40.0; x += 0.0390625) grid.push_back(x);
+  return grid;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+class LayerPassSuite : public ::testing::TestWithParam<Activation> {};
+
+INSTANTIATE_TEST_SUITE_P(AllSix, LayerPassSuite,
+                         ::testing::Values(Activation::kRelu, Activation::kRelu6,
+                                           Activation::kSoftplus, Activation::kSigmoid,
+                                           Activation::kTanh, Activation::kIdentity),
+                         [](const auto& param_info) { return to_string(param_info.param); });
+
+TEST_P(LayerPassSuite, BitwiseEqualToScalarOracle) {
+  const Activation a = GetParam();
+  const std::vector<double> z = oracle_grid();
+  std::vector<double> y(z.size()), sp(z.size()), spp(z.size());
+  std::vector<double> y_first(z.size()), sp_first(z.size());
+  activate_layer(a, z, y, sp, spp);
+  activate_layer(a, z, y_first, sp_first, {});  // no curvature
+  for (std::size_t k = 0; k < z.size(); ++k) {
+    const double x = z[k];
+    EXPECT_TRUE(same_bits(y[k], apply(a, x))) << to_string(a) << " y at " << x;
+    EXPECT_TRUE(same_bits(sp[k], derivative(a, x)))
+        << to_string(a) << " sp at " << x;
+    EXPECT_TRUE(same_bits(spp[k], second_derivative(a, x)))
+        << to_string(a) << " spp at " << x;
+    EXPECT_TRUE(same_bits(y_first[k], y[k])) << to_string(a) << " y at " << x;
+    EXPECT_TRUE(same_bits(sp_first[k], sp[k])) << to_string(a) << " sp at " << x;
+  }
+}
+
+TEST(LayerPass, SizeMismatchThrows) {
+  const std::vector<double> z(4, 0.5);
+  std::vector<double> ok(4), short_buf(3);
+  EXPECT_THROW(activate_layer(Activation::kTanh, z, short_buf, ok, {}),
+               util::ValueError);
+  EXPECT_THROW(activate_layer(Activation::kTanh, z, ok, short_buf, {}),
+               util::ValueError);
+  std::vector<double> y(4), sp(4);
+  EXPECT_THROW(activate_layer(Activation::kTanh, z, y, sp, short_buf),
+               util::ValueError);
+  EXPECT_NO_THROW(activate_layer(Activation::kTanh, z, y, sp, {}));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -129,6 +130,28 @@ TEST_P(KernelActivations, BatchedForwardMatchesPerRowForward) {
       EXPECT_DOUBLE_EQ(cache.out()[s * mlp.output_width() + k], expected[k])
           << "sample " << s << " output " << k;
     }
+  }
+}
+
+TEST_P(KernelActivations, NoCurvatureLeavesSecondDerivativesUntouched) {
+  // A Curvature::kNone forward must not write sigma'' (inference and MD
+  // skip it), while y and sigma' match a kCache forward bit for bit.
+  const Mlp mlp = make_mlp(GetParam(), 13);
+  util::Rng rng(17);
+  const std::vector<double> x = random_values(rng, kBatch * kIn);
+  MlpBatchCache cache;
+  mlp_forward_batch(mlp, x, kBatch, cache, Curvature::kCache);
+  const std::vector<std::vector<double>> y = cache.y;
+  const std::vector<std::vector<double>> sp = cache.sp;
+  for (std::vector<double>& layer : cache.spp) {
+    std::fill(layer.begin(), layer.end(), -123.0);
+  }
+  mlp_forward_batch(mlp, x, kBatch, cache, Curvature::kNone);
+  EXPECT_FALSE(cache.has_curvature);
+  EXPECT_EQ(cache.y, y);
+  EXPECT_EQ(cache.sp, sp);
+  for (const std::vector<double>& layer : cache.spp) {
+    for (const double v : layer) EXPECT_EQ(v, -123.0);
   }
 }
 
