@@ -1,8 +1,8 @@
 // Substrate micro-benchmarks: the kernels a real (non-surrogate) evaluation
 // spends its time in -- MD stepping for data generation, whole-frame
 // DeepPot-SE evaluation (dp::Potential), an NNP MD step (dp::MdSession), one
-// MdSession embedding tile through the batched MLP forward, and one full
-// training step.  These
+// MdSession embedding tile through the batched MLP forward, one activation
+// pass over a tile-sized layer, and one full training step.  These
 // support the paper's framing that the per-individual training dominates the
 // workflow cost (everything around it is negligible).  The dp_serve codec
 // rows (a 160-atom reply encoded, a 160-atom request parsed) show the same
@@ -20,6 +20,7 @@
 #include "md/integrator.hpp"
 #include "md/session.hpp"
 #include "md/simulation.hpp"
+#include "nn/activation.hpp"
 #include "nn/mlp_kernels.hpp"
 #include "nn/optimizer.hpp"
 #include "serve/protocol.hpp"
@@ -187,6 +188,25 @@ void BM_MlpForwardEmbeddingTile(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rows));
 }
 BENCHMARK(BM_MlpForwardEmbeddingTile)->ArgName("curvature")->Arg(0)->Arg(1);
+
+void BM_ActivateLayer(benchmark::State& state, nn::Activation activation) {
+  // One nn::activate_layer pass with curvature over a tile's widest
+  // embedding layer (kTileRows rows of 16 outputs), pre-activations drawn
+  // from the range a trained embedding net produces.
+  const std::size_t n = dp::MdSession::kTileRows * 16;
+  util::Rng rng(9);
+  std::vector<double> z(n);
+  for (double& v : z) v = rng.uniform(-4.0, 4.0);
+  std::vector<double> y(n), sp(n), spp(n);
+  for (auto _ : state) {
+    nn::activate_layer(activation, z, y, sp, spp);
+    benchmark::DoNotOptimize(spp.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK_CAPTURE(BM_ActivateLayer, tanh, nn::Activation::kTanh);
+BENCHMARK_CAPTURE(BM_ActivateLayer, sigmoid, nn::Activation::kSigmoid);
 
 void BM_FullTrainingStep(benchmark::State& state) {
   // One Adam step on one frame's analytic loss gradient, including the

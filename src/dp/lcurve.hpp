@@ -15,7 +15,7 @@ namespace dpho::dp {
 
 /// One displayed training-progress record.
 struct LcurveRow {
-  std::size_t step = 0;
+  std::size_t step = 0;  // optimizer updates the row's parameters reflect
   double rmse_e_val = 0.0;
   double rmse_e_trn = 0.0;
   double rmse_f_val = 0.0;

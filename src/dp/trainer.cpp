@@ -65,6 +65,9 @@ Trainer::Trainer(const TrainInput& config, const md::FrameDataset& train,
       potential_(Potential::borrow(model_)) {
   if (train.empty()) throw util::ValueError("trainer: empty training set");
   if (validation.empty()) throw util::ValueError("trainer: empty validation set");
+  if (config.training.disp_freq == 0) {
+    throw util::ValueError("trainer: disp_freq must be at least 1");
+  }
 }
 
 Trainer::~Trainer() = default;
@@ -153,6 +156,9 @@ TrainResult Trainer::train() {
   frame_losses_.resize(batch_size);
   group_grads_.resize(num_groups);
   for (std::vector<double>& g : group_grads_) g.resize(params.size());
+  // Row u holds the RMSEs after u updates: row 0 before the first update,
+  // then every disp_freq updates, and the final parameters exactly once.
+  record_row(0);
   for (std::size_t step = 0; step < total_steps; ++step) {
     if (options_.wall_limit_seconds &&
         seconds_since(start_time) > *options_.wall_limit_seconds) {
@@ -210,11 +216,13 @@ TrainResult Trainer::train() {
     }
     optimizer.step(params, grad, schedule.lr(step));
     model_.scatter_params(params);
-    if (step % config_.training.disp_freq == 0) record_row(step);
     steps_total.add(1);
     result.steps_completed = step + 1;
+    if (result.steps_completed % config_.training.disp_freq == 0) {
+      record_row(result.steps_completed);
+    }
   }
-  record_row(total_steps);
+  if (total_steps % config_.training.disp_freq != 0) record_row(total_steps);
   const auto [e_val, f_val] = validation_rmse();
   result.rmse_e_val = e_val;
   result.rmse_f_val = f_val;

@@ -62,6 +62,127 @@ std::uint64_t request_id(const util::Json& message) {
   return uint_field(message, "id");
 }
 
+namespace {
+
+/// A cursor over a refused payload.  Every step advances or stops, so one
+/// scan reads each byte at most once.
+struct IdScanner {
+  std::string_view text;
+  std::size_t pos = 0;
+
+  static bool is_space(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+  }
+  bool done() const { return pos >= text.size(); }
+  char peek() const { return text[pos]; }
+  void skip_space() {
+    while (!done() && is_space(peek())) ++pos;
+  }
+  bool eat(char c) {
+    skip_space();
+    if (done() || peek() != c) return false;
+    ++pos;
+    return true;
+  }
+  /// Past a string whose opening quote is at pos; false if unterminated.
+  /// `escaped` reports whether it held a backslash escape.
+  bool skip_string(bool& escaped) {
+    escaped = false;
+    for (++pos; !done(); ++pos) {
+      if (peek() == '\\') {
+        escaped = true;
+        ++pos;
+      } else if (peek() == '"') {
+        ++pos;
+        return true;
+      }
+    }
+    return false;
+  }
+  /// Past one value of any shape (containers by bracket count, without
+  /// recursion); false if the payload ends first.
+  bool skip_value() {
+    skip_space();
+    if (done()) return false;
+    bool escaped = false;
+    if (peek() == '"') return skip_string(escaped);
+    if (peek() == '{' || peek() == '[') {
+      std::size_t depth = 0;
+      while (!done()) {
+        const char c = peek();
+        if (c == '"') {
+          if (!skip_string(escaped)) return false;
+          continue;
+        }
+        ++pos;
+        if (c == '{' || c == '[') ++depth;
+        if ((c == '}' || c == ']') && --depth == 0) return true;
+      }
+      return false;
+    }
+    const std::size_t start = pos;
+    while (!done() && peek() != ',' && peek() != '}' && peek() != ']' &&
+           !is_space(peek())) {
+      ++pos;
+    }
+    return pos > start;
+  }
+};
+
+/// A plain decimal integer below 2^53 ("0" or no leading zero), else 0.
+std::uint64_t plain_id(std::string_view token) {
+  if (token.empty() || token.size() > 16 ||
+      (token.size() > 1 && token[0] == '0')) {
+    return 0;
+  }
+  std::uint64_t value = 0;
+  for (const char c : token) {
+    if (c < '0' || c > '9') return 0;
+    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  return value < (std::uint64_t{1} << 53) ? value : 0;
+}
+
+}  // namespace
+
+std::uint64_t scan_request_id(std::string_view payload) {
+  IdScanner scan{payload};
+  if (!scan.eat('{') || scan.eat('}')) return 0;
+  std::uint64_t id = 0;
+  do {
+    scan.skip_space();
+    if (scan.done() || scan.peek() != '"') return 0;
+    const std::size_t key_start = scan.pos + 1;
+    bool escaped = false;
+    if (!scan.skip_string(escaped) || escaped) return 0;
+    const std::string_view key =
+        payload.substr(key_start, scan.pos - 1 - key_start);
+    if (!scan.eat(':')) return 0;
+    scan.skip_space();
+    const std::size_t value_start = scan.pos;
+    if (!scan.skip_value()) return 0;
+    if (key == "id") {
+      id = plain_id(payload.substr(value_start, scan.pos - value_start));
+    }
+  } while (scan.eat(','));
+  if (!scan.eat('}')) return 0;
+  scan.skip_space();
+  return scan.done() ? id : 0;
+}
+
+util::Json parse_request(const std::string& payload, std::uint64_t& id) {
+  id = 0;
+  util::Json message;
+  try {
+    message = util::Json::parse(payload);
+  } catch (const util::ParseError&) {
+    id = scan_request_id(payload);
+    throw;
+  }
+  id = request_id(message);
+  return message;
+}
+
 util::Json encode_error(const ErrorEnvelope& error) {
   util::Json msg = tagged(kMsgError, error.id);
   msg["code"] = error.code;

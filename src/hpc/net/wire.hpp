@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "hpc/cluster_session.hpp"
 #include "util/json.hpp"
@@ -72,6 +73,23 @@ const std::string& string_field(const util::Json& message,
 /// so that even a refusal can carry it: 0 when "id" is absent or not a
 /// number; util::ValueError when it is a number outside uint_field's range.
 std::uint64_t request_id(const util::Json& message);
+
+/// The correlation id of a frame the JSON parser refused (a number past the
+/// double range, nesting past the parser's limit, ...), read from the raw
+/// bytes by one bounded pass that never recurses: the value of the
+/// top-level "id" key when it is written as a plain decimal integer below
+/// 2^53.  The scan only skips over nested values, so what it returns is the
+/// id exactly as the wire spelled it.  0 when the payload is not one
+/// delimited top-level object, when a top-level key is written with
+/// escapes, or when the last "id" (the one the parser would keep) is
+/// anything else.
+std::uint64_t scan_request_id(std::string_view payload);
+
+/// Parses a request frame and recovers its correlation id into `id`:
+/// request_id() of the parsed message or, when the parser refuses the frame,
+/// scan_request_id() of its bytes before the util::ParseError propagates.
+/// So every refusal a daemon sends can carry the request's own id.
+util::Json parse_request(const std::string& payload, std::uint64_t& id);
 
 /// The error reply of every daemon.  Each protocol maps `code` onto its own
 /// ErrorCode enum.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/simd.hpp"
 #include "util/error.hpp"
 
 namespace dpho::nn {
@@ -34,14 +35,8 @@ namespace {
 
 double softplus_value(double x) {
   if (x > 30.0) return x;
-  if (x < -30.0) return std::exp(x);
-  return std::log1p(std::exp(x));
-}
-
-double sigmoid_value(double x) {
-  if (x >= 0.0) return 1.0 / (1.0 + std::exp(-x));
-  const double e = std::exp(x);
-  return e / (1.0 + e);
+  if (x < -30.0) return simd::exp(x);
+  return std::log1p(simd::exp(x));
 }
 
 }  // namespace
@@ -51,8 +46,8 @@ double apply(Activation activation, double x) {
     case Activation::kRelu: return x > 0.0 ? x : 0.0;
     case Activation::kRelu6: return x <= 0.0 ? 0.0 : (x >= 6.0 ? 6.0 : x);
     case Activation::kSoftplus: return softplus_value(x);
-    case Activation::kSigmoid: return sigmoid_value(x);
-    case Activation::kTanh: return std::tanh(x);
+    case Activation::kSigmoid: return simd::sigmoid(x);
+    case Activation::kTanh: return simd::tanh(x);
     case Activation::kIdentity: return x;
   }
   throw util::ValueError("invalid activation enum");
@@ -78,17 +73,17 @@ double second_derivative(Activation activation, double x) {
       return 0.0;
     case Activation::kSoftplus: {
       // softplus'' = sigmoid' = s (1 - s)
-      const double s = sigmoid_value(x);
+      const double s = simd::sigmoid(x);
       return s * (1.0 - s);
     }
     case Activation::kSigmoid: {
       // sigmoid'' = s (1 - s) (1 - 2s)
-      const double s = sigmoid_value(x);
+      const double s = simd::sigmoid(x);
       return s * (1.0 - s) * (1.0 - 2.0 * s);
     }
     case Activation::kTanh: {
       // tanh'' = -2 t (1 - t^2)
-      const double t = std::tanh(x);
+      const double t = simd::tanh(x);
       return -2.0 * t * (1.0 - t * t);
     }
   }
@@ -99,13 +94,13 @@ double derivative(Activation activation, double x) {
   switch (activation) {
     case Activation::kRelu: return x > 0.0 ? 1.0 : 0.0;
     case Activation::kRelu6: return (x > 0.0 && x < 6.0) ? 1.0 : 0.0;
-    case Activation::kSoftplus: return sigmoid_value(x);
+    case Activation::kSoftplus: return simd::sigmoid(x);
     case Activation::kSigmoid: {
-      const double s = sigmoid_value(x);
+      const double s = simd::sigmoid(x);
       return s * (1.0 - s);
     }
     case Activation::kTanh: {
-      const double t = std::tanh(x);
+      const double t = simd::tanh(x);
       return 1.0 - t * t;
     }
     case Activation::kIdentity: return 1.0;
@@ -122,9 +117,12 @@ void activate_layer(Activation activation, std::span<const double> z,
   }
   // Each case mirrors the expression forms of apply / derivative /
   // second_derivative term for term, so the outputs are bitwise equal to
-  // the scalar oracle.  relu, relu6 and identity are piecewise linear, so
-  // their s'' is 0.
+  // the scalar oracle.  tanh and sigmoid (and softplus's sigmoid term) run
+  // through the dispatched layer kernels, whose vector and scalar forms are
+  // bitwise twins.  relu, relu6 and identity are piecewise linear, so their
+  // s'' is 0.
   const bool curvature = !spp.empty();
+  const simd::Ops& ops = simd::active();
   switch (activation) {
     case Activation::kRelu:
       for (std::size_t k = 0; k < n; ++k) {
@@ -143,30 +141,20 @@ void activate_layer(Activation activation, std::span<const double> z,
       }
       return;
     case Activation::kSoftplus:
-      for (std::size_t k = 0; k < n; ++k) {
-        const double s = sigmoid_value(z[k]);
-        y[k] = softplus_value(z[k]);
-        sp[k] = s;
-        if (curvature) spp[k] = s * (1.0 - s);
-      }
+      // softplus' = s and softplus'' = s (1 - s): the sigmoid kernel's value
+      // and first-derivative outputs.  Without curvature y takes the unused
+      // s (1 - s) until the softplus values overwrite it.
+      ops.sigmoid_layer(z.data(), n, sp.data(),
+                        curvature ? spp.data() : y.data(), nullptr);
+      for (std::size_t k = 0; k < n; ++k) y[k] = softplus_value(z[k]);
       return;
     case Activation::kSigmoid:
-      for (std::size_t k = 0; k < n; ++k) {
-        const double s = sigmoid_value(z[k]);
-        const double ds = s * (1.0 - s);
-        y[k] = s;
-        sp[k] = ds;
-        if (curvature) spp[k] = ds * (1.0 - 2.0 * s);
-      }
+      ops.sigmoid_layer(z.data(), n, y.data(), sp.data(),
+                        curvature ? spp.data() : nullptr);
       return;
     case Activation::kTanh:
-      for (std::size_t k = 0; k < n; ++k) {
-        const double t = std::tanh(z[k]);
-        const double dt = 1.0 - t * t;
-        y[k] = t;
-        sp[k] = dt;
-        if (curvature) spp[k] = -2.0 * t * dt;
-      }
+      ops.tanh_layer(z.data(), n, y.data(), sp.data(),
+                     curvature ? spp.data() : nullptr);
       return;
     case Activation::kIdentity:
       for (std::size_t k = 0; k < n; ++k) {

@@ -6,6 +6,12 @@
 // and tape variables (the autodiff oracle).  The batched MLP kernels run
 // whole layers through activate_layer; the scalar apply / derivative /
 // second_derivative functions are its oracle.
+//
+// The double overloads take tanh, sigmoid and exp from nn::simd's scalar
+// twins (simd.hpp), the same code the AVX2 layer kernels run lane by lane,
+// so a layer pass is bitwise equal to these functions with SIMD on or off.
+// softplus keeps libm's log1p.  The tape overloads keep libm throughout:
+// they are the independent oracle.
 #pragma once
 
 #include <span>
@@ -45,9 +51,11 @@ double second_derivative(Activation activation, double x);
 /// y = sigma(z), sp = sigma'(z) and, when `spp` is non-empty,
 /// spp = sigma''(z).  The activation is resolved once per call, and one
 /// transcendental per element (tanh, or the sigmoid) serves all three
-/// outputs; softplus computes its value besides.  Every output is bitwise
-/// equal to apply / derivative / second_derivative on the same element.
-/// y, sp (and a non-empty spp) must have z.size() entries.
+/// outputs; softplus computes its value besides.  tanh and sigmoid run
+/// through the dispatched simd::Ops layer kernels.  Every output is bitwise
+/// equal to apply / derivative / second_derivative on the same element,
+/// with SIMD on or off.  y, sp (and a non-empty spp) must have z.size()
+/// entries and must not overlap z.
 void activate_layer(Activation activation, std::span<const double> z,
                     std::span<double> y, std::span<double> sp,
                     std::span<double> spp);

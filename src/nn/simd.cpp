@@ -82,7 +82,9 @@ void scalar_dense_param_grad_tangent(const double* x, const double* xdot,
 
 constexpr Ops kScalarOps = {scalar_dense_forward, scalar_dense_backward_input,
                             scalar_dense_param_grad,
-                            scalar_dense_param_grad_tangent, "scalar"};
+                            scalar_dense_param_grad_tangent,
+                            detail::scalar_tanh_layer,
+                            detail::scalar_sigmoid_layer, "scalar"};
 
 bool cpu_supports_avx2_fma() {
 #if defined(__x86_64__) || defined(__i386__)

@@ -1,8 +1,9 @@
-// AVX2/FMA dense-layer kernels.  This translation unit is the only one built
-// with -mavx2 -mfma (see src/nn/CMakeLists.txt); everything else stays at the
-// baseline ISA and reaches these through the simd::active() dispatch table,
-// which only selects this table after __builtin_cpu_supports() confirms the
-// running CPU has both features.
+// AVX2/FMA dense-layer kernels and the AVX2 dispatch table.  This translation
+// unit is the only one built with -mavx2 -mfma (see src/nn/CMakeLists.txt;
+// the table's activation entries come from simd_avx2_math.cpp, built with
+// -mavx2 alone); everything else stays at the baseline ISA and reaches these
+// through the simd::active() dispatch table, which only selects this table
+// after __builtin_cpu_supports() confirms the running CPU has both features.
 //
 // Accumulation-order note: the forward kernel reduces each dot product in
 // four interleaved lanes, so its rounding differs from the scalar fallback
@@ -165,6 +166,7 @@ void avx2_dense_param_grad_tangent(const double* x, const double* xdot,
 
 constexpr Ops kAvx2Ops = {avx2_dense_forward, avx2_dense_backward_input,
                           avx2_dense_param_grad, avx2_dense_param_grad_tangent,
+                          detail::avx2_tanh_layer, detail::avx2_sigmoid_layer,
                           "avx2-fma"};
 
 }  // namespace

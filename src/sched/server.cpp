@@ -35,15 +35,13 @@ void Server::poll_once() {
 
 void Server::handle_frame(const hpc::net::ConnectionPtr& connection,
                           const std::string& payload) {
-  // Recover a correlation id as early as possible so even a refusal can be
-  // matched to its request; an id no double holds exactly is refused under
-  // id 0.
+  // Recover a correlation id as early as possible -- from the raw bytes when
+  // the parser refuses them -- so even a refusal can be matched to its
+  // request; an id no double holds exactly is refused under id 0.
   std::uint64_t id = 0;
   util::Json reply;
   try {
-    const util::Json message = util::Json::parse(payload);
-    id = hpc::net::request_id(message);
-    reply = dispatch(message);
+    reply = dispatch(hpc::net::parse_request(payload, id));
   } catch (const SchedError& e) {
     reply = encode_error(ErrorReply{id, e.code(), e.what()});
   } catch (const util::ParseError& e) {

@@ -83,20 +83,25 @@ void Server::stop() {
     wait();
     return;
   }
-  running_.store(false, std::memory_order_release);
+  {
+    // Under the lock: a worker between its wait predicate and its block
+    // would otherwise miss this notify and never return.
+    const std::scoped_lock lock(queue_mutex_);
+    running_.store(false, std::memory_order_release);
+  }
   queue_cv_.notify_all();
   if (io_thread_.joinable()) io_thread_.join();
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
   loop_.close_all();  // threads are gone: nobody else holds a connection
-  {
-    const std::scoped_lock lock(queue_mutex_);
-    queue_.clear();
-  }
   obs::events().emit("serve.stop",
                      {{"served", requests_served_.load(std::memory_order_relaxed)}});
-  stopped_.store(true, std::memory_order_release);
+  {
+    const std::scoped_lock lock(queue_mutex_);  // as for running_ above
+    queue_.clear();
+    stopped_.store(true, std::memory_order_release);
+  }
   drained_cv_.notify_all();
 }
 
@@ -159,17 +164,17 @@ void Server::handle_close(const hpc::net::ConnectionPtr& connection) {
 
 void Server::handle_frame(const hpc::net::ConnectionPtr& connection,
                           const std::string& payload) {
-  // The id is recovered before the request is decoded, so even a refusal
-  // carries it; an id no double holds exactly is refused under id 0.
+  // The id is recovered before the request is decoded -- from the raw bytes
+  // when the parser refuses them -- so even a refusal carries it; an id no
+  // double holds exactly is refused under id 0.
   util::Json message;
   std::string type;
   std::uint64_t id = 0;
   try {
-    message = util::Json::parse(payload);
+    message = hpc::net::parse_request(payload, id);
     type = message_type(message);
-    id = hpc::net::request_id(message);
   } catch (const std::exception& e) {
-    send_error(connection, 0, ErrorCode::kBadRequest, e.what());
+    send_error(connection, id, ErrorCode::kBadRequest, e.what());
     return;
   }
   if (type == kMsgCatalog) {

@@ -108,6 +108,35 @@ TEST_F(TrainerSuite, WallLimitRaisesTimeoutError) {
   EXPECT_THROW(trainer.train(), util::TimeoutError);
 }
 
+TEST_F(TrainerSuite, LcurveRowsCountUpdatesAndNeverRepeatParameters) {
+  // Row u holds the parameters after u updates: row 0 is the initial model,
+  // and with disp_freq 1 every row reflects a different parameter set.
+  TrainInput config = tiny_config(3);
+  config.training.disp_freq = 1;
+  Trainer trainer(config, data_->train, data_->validation);
+  const TrainResult result = trainer.train();
+  const auto& rows = result.lcurve.rows();
+  ASSERT_EQ(rows.size(), 4u);
+  for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(rows[i].step, i);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_NE(rows[i].rmse_f_val, rows[i - 1].rmse_f_val) << i;
+  }
+  // The last row is the final parameters, the ones the result reports.
+  EXPECT_EQ(rows.back().rmse_e_val, result.rmse_e_val);
+  EXPECT_EQ(rows.back().rmse_f_val, result.rmse_f_val);
+  // Row 0 is the untrained model, whatever the step count.
+  TrainInput longer = tiny_config(5);
+  longer.training.disp_freq = 1;
+  Trainer other(longer, data_->train, data_->validation);
+  EXPECT_EQ(other.train().lcurve.rows().front().rmse_f_val, rows.front().rmse_f_val);
+}
+
+TEST_F(TrainerSuite, ZeroDispFreqRejected) {
+  TrainInput config = tiny_config(10);
+  config.training.disp_freq = 0;
+  EXPECT_THROW(Trainer(config, data_->train, data_->validation), util::ValueError);
+}
+
 TEST_F(TrainerSuite, EmptyDatasetsRejected) {
   md::FrameDataset empty(data_->train.types());
   EXPECT_THROW(Trainer(tiny_config(10), empty, data_->validation), util::ValueError);

@@ -386,6 +386,48 @@ TEST(NetWire, RequestIdIsRecoveredOnlyWhenWireExact) {
   }
 }
 
+TEST(NetWire, ScanRecoversTheIdOfARefusedFrame) {
+  // Frames the parser refuses, with a well-formed top-level id.
+  const std::string deep = std::string(300, '[') + std::string(300, ']');
+  EXPECT_EQ(scan_request_id("{\"t\":\"eval\",\"id\":22,\"x\":[1e999]}"), 22u);
+  EXPECT_EQ(scan_request_id("{\"x\":" + deep + ",\"id\":7}"), 7u);
+  EXPECT_EQ(scan_request_id(" {\"s\":\"}\\\"{\", \"id\" : 3 } "), 3u);
+  EXPECT_EQ(scan_request_id("{\"a\":{\"id\":5},\"id\":9007199254740991}"),
+            9007199254740991u);
+  // The last top-level "id" wins, as in the parser.
+  EXPECT_EQ(scan_request_id("{\"id\":4,\"id\":6}"), 6u);
+  EXPECT_EQ(scan_request_id("{\"id\":4,\"id\":\"6\"}"), 0u);
+  // Anything but a plain decimal integer below 2^53 is no id.
+  for (const char* bad : {"-1", "2.5", "7.0", "1e3", "007", "9007199254740992",
+                          "\"7\"", "[7]", "true"}) {
+    EXPECT_EQ(scan_request_id(std::string("{\"id\":") + bad + ",\"x\":1e999}"), 0u)
+        << bad;
+  }
+  // Nested ids, escaped keys and payloads that are not one delimited object
+  // yield nothing.
+  for (const std::string& bad :
+       {std::string("{\"a\":{\"id\":5}}"), std::string("{\"i\\u0064\":5}"),
+        std::string("[{\"id\":5}]"), std::string("{\"id\":5"),
+        std::string("{\"id\":5} x"), std::string("{\"id\":5,}"),
+        std::string("{\"id\" 5}"), std::string(100000, '['), std::string(),
+        std::string("{\"x\":\"unterminated")}) {
+    EXPECT_EQ(scan_request_id(bad), 0u) << bad.substr(0, 40);
+  }
+}
+
+TEST(NetWire, ParseRequestRecoversTheIdEitherWay) {
+  std::uint64_t id = 99;
+  EXPECT_EQ(parse_request("{\"t\":\"x\",\"id\":7}", id).at("t").as_string(), "x");
+  EXPECT_EQ(id, 7u);
+  id = 99;
+  EXPECT_THROW(parse_request("{\"t\":\"x\",\"id\":8,\"v\":1e999}", id),
+               util::ParseError);
+  EXPECT_EQ(id, 8u);
+  id = 99;
+  EXPECT_THROW(parse_request("{\"id\":2.5}", id), util::ValueError);
+  EXPECT_EQ(id, 0u);
+}
+
 TEST(NetWire, ErrorEnvelopeRoundTripsAndNeedsEveryField) {
   const util::Json wire = encode_error({5, "overloaded", "queue full"});
   EXPECT_EQ(wire.dump(),

@@ -240,6 +240,34 @@ TEST(Scheduler, ServerRefusesDeeplyNestedRequestsAndKeepsServing) {
   ::close(client);
 }
 
+TEST(Scheduler, ServerRefusalOfAnUnparsableFrameKeepsItsId) {
+  // The parser refuses a number past the double range and nesting past its
+  // limit; the top-level id is still well formed, so the refusal carries it.
+  const auto evaluator = core::make_evaluator(core::EvalBackendConfig{});
+  util::TempDir dir("sched-refused-id");
+  Server server(ServerOptions{.scheduler = options_in(dir.path())}, *evaluator);
+  server.start();
+  const int fd = hpc::net::connect_loopback(server.port());
+  const auto ask = [&](const std::string& payload) {
+    EXPECT_TRUE(hpc::net::write_frame(fd, payload));
+    pollfd reply{fd, POLLIN, 0};
+    for (int round = 0; round < 5000 && ::poll(&reply, 1, 0) == 0; ++round) {
+      server.poll_once();
+    }
+    return decode_error(util::Json::parse(hpc::net::read_frame(fd).value()));
+  };
+
+  const std::string deep = std::string(300, '[') + std::string(300, ']');
+  for (const std::string& payload :
+       {std::string("{\"t\":\"list\",\"id\":31,\"x\":1e999}"),
+        "{\"t\":\"list\",\"x\":" + deep + ",\"id\":32}"}) {
+    const ErrorReply refused = ask(payload);
+    EXPECT_EQ(refused.code, ErrorCode::kBadRequest) << payload.substr(0, 40);
+    EXPECT_EQ(refused.id, payload.find("31") != std::string::npos ? 31u : 32u);
+  }
+  ::close(fd);
+}
+
 TEST(Scheduler, AClientThatNeverReadsCannotStallTheDaemon) {
   const auto evaluator = core::make_evaluator(core::EvalBackendConfig{});
   util::TempDir dir("sched-flood");

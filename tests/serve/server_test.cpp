@@ -230,14 +230,14 @@ TEST(Server, InvalidGeometryGetsBadRequest) {
   expect_bad_request(exchange(client.fd, encode_eval_request(small_box)), 21);
 
   // 1e999 is past the double range: the parser refuses it instead of
-  // reading infinity, so no non-finite coordinate reaches the model and the
-  // refusal comes before the id is read.
+  // reading infinity, so no non-finite coordinate reaches the model; the
+  // refusal still carries the request's well-formed id, read off the wire.
   EvalRequest infinite = make_request(22, "m0", 4, 1);
   infinite.frames[0].positions[0][0] = 12345.5;
   std::string text = encode_eval_request(infinite).dump();
   text.replace(text.find("12345.5"), 7, "1e999");
   ASSERT_TRUE(hpc::net::write_frame(client.fd, text));
-  expect_bad_request(util::Json::parse(*hpc::net::read_frame(client.fd)), 0);
+  expect_bad_request(util::Json::parse(*hpc::net::read_frame(client.fd)), 22);
 
   // A huge but finite box is valid input: an isolated cluster.
   EvalRequest huge_box = make_request(23, "m0", 4, 1);
