@@ -1,8 +1,9 @@
 // Substrate micro-benchmarks: the kernels a real (non-surrogate) evaluation
 // spends its time in -- MD stepping for data generation, whole-frame
 // DeepPot-SE evaluation (dp::Potential), an NNP MD step (dp::MdSession), one
-// MdSession embedding tile through the batched MLP forward, one activation
-// pass over a tile-sized layer, and one full training step.  These
+// MdSession block's rows through the batched MLP forward, one activation
+// pass over a block-sized layer, the dense backward-input kernel at the
+// embedding and fitting layer shapes, and one full training step.  These
 // support the paper's framing that the per-individual training dominates the
 // workflow cost (everything around it is negligible).  The dp_serve codec
 // rows (a 160-atom reply encoded, a 160-atom request parsed) show the same
@@ -23,6 +24,7 @@
 #include "nn/activation.hpp"
 #include "nn/mlp_kernels.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/simd.hpp"
 #include "serve/protocol.hpp"
 #include "util/json.hpp"
 
@@ -167,13 +169,14 @@ void BM_NnpMdSessionStep(benchmark::State& state) {
 BENCHMARK(BM_NnpMdSessionStep);
 
 void BM_MlpForwardEmbeddingTile(benchmark::State& state) {
-  // One MdSession recompute tile through the tanh {8,16} embedding net: the
+  // One MdSession block's candidate rows (kBlockPairs, an upper bound on any
+  // one net's rows in a block) through the tanh {8,16} embedding net: the
   // batched dense layers plus one activation pass per layer.  Arg 0 is the
   // inference/MD forward (y, sigma'), arg 1 the training forward that also
   // caches sigma''.
   const dp::DeepPotModel model = fixture_model();
   const nn::Mlp& net = model.embedding_net(0);
-  const std::size_t rows = dp::MdSession::kTileRows;
+  const std::size_t rows = dp::MdSession::kBlockPairs;
   util::Rng rng(8);
   std::vector<double> x(rows * net.input_width());
   for (double& v : x) v = rng.uniform(0.0, 1.0);
@@ -190,10 +193,10 @@ void BM_MlpForwardEmbeddingTile(benchmark::State& state) {
 BENCHMARK(BM_MlpForwardEmbeddingTile)->ArgName("curvature")->Arg(0)->Arg(1);
 
 void BM_ActivateLayer(benchmark::State& state, nn::Activation activation) {
-  // One nn::activate_layer pass with curvature over a tile's widest
-  // embedding layer (kTileRows rows of 16 outputs), pre-activations drawn
+  // One nn::activate_layer pass with curvature over a block's widest
+  // embedding layer (kBlockPairs rows of 16 outputs), pre-activations drawn
   // from the range a trained embedding net produces.
-  const std::size_t n = dp::MdSession::kTileRows * 16;
+  const std::size_t n = dp::MdSession::kBlockPairs * 16;
   util::Rng rng(9);
   std::vector<double> z(n);
   for (double& v : z) v = rng.uniform(-4.0, 4.0);
@@ -207,6 +210,29 @@ void BM_ActivateLayer(benchmark::State& state, nn::Activation activation) {
 }
 BENCHMARK_CAPTURE(BM_ActivateLayer, tanh, nn::Activation::kTanh);
 BENCHMARK_CAPTURE(BM_ActivateLayer, sigmoid, nn::Activation::kSigmoid);
+
+void BM_DenseBackwardInput(benchmark::State& state, std::size_t in,
+                           std::size_t out) {
+  // ybar = W^T zbar over kBlockPairs rows through the dispatched kernel: the
+  // MD embedding reverse's layers (1x8, 8x16) and the fitting net's (24x24,
+  // 64x24 for the md_nnp descriptor width).
+  const std::size_t rows = dp::MdSession::kBlockPairs;
+  util::Rng rng(10);
+  std::vector<double> w(out * in), zbar(rows * out), ybar(rows * in);
+  for (double& v : w) v = rng.uniform(-1.0, 1.0);
+  for (double& v : zbar) v = rng.uniform(-1.0, 1.0);
+  const nn::simd::Ops& ops = nn::simd::active();
+  for (auto _ : state) {
+    ops.dense_backward_input(w.data(), zbar.data(), rows, in, out, ybar.data());
+    benchmark::DoNotOptimize(ybar.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rows));
+}
+BENCHMARK_CAPTURE(BM_DenseBackwardInput, 1x8, 1, 8);
+BENCHMARK_CAPTURE(BM_DenseBackwardInput, 8x16, 8, 16);
+BENCHMARK_CAPTURE(BM_DenseBackwardInput, 24x24, 24, 24);
+BENCHMARK_CAPTURE(BM_DenseBackwardInput, 64x24, 64, 24);
 
 void BM_FullTrainingStep(benchmark::State& state) {
   // One Adam step on one frame's analytic loss gradient, including the

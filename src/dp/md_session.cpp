@@ -110,11 +110,8 @@ void MdSession::initialize(const md::SystemState& state) {
       ch.fit[sp].x.resize(rows * dwidth);
       ch.fit[sp].x_bar.resize(rows * dwidth);
     }
+    ch.atom_energy.resize(chunk_n);
     ch.coord_bar.resize(3 * num_atoms_);
-    ch.tile_x.reserve(kTileRows);
-    ch.tile_x_bar.reserve(kTileRows);
-    ch.tile_out_bar.reserve(kTileRows * m1_);
-    ch.tile_ones.reserve(kTileRows);
   }
   initialized_ = true;
 }
@@ -161,7 +158,7 @@ void MdSession::rebuild_skeleton(const md::NeighborList& list) {
               cand_.begin() + static_cast<std::ptrdiff_t>(cand_off_[b + 1]));
   }
   // Size each chunk's live-pair arrays to its candidate total (upper bound
-  // of the live count; grow-only).
+  // of the live count; grow-only), then cut it into blocks.
   for (std::size_t c = 0; c < num_chunks_; ++c) {
     Chunk& ch = chunks_[c];
     const std::size_t cand_count =
@@ -176,6 +173,7 @@ void MdSession::rebuild_skeleton(const md::NeighborList& list) {
       ch.ux.reserve(reserve);
       ch.uy.reserve(reserve);
       ch.uz.reserve(reserve);
+      ch.pair_bar.reserve(3 * reserve);
     }
     ch.center.resize(cand_count);
     ch.j.resize(cand_count);
@@ -185,7 +183,82 @@ void MdSession::rebuild_skeleton(const md::NeighborList& list) {
     ch.ux.resize(cand_count);
     ch.uy.resize(cand_count);
     ch.uz.resize(cand_count);
+    ch.pair_bar.resize(3 * cand_count);
+    build_blocks(c, list);
   }
+}
+
+void MdSession::build_blocks(std::size_t c, const md::NeighborList& list) {
+  Chunk& ch = chunks_[c];
+  const DeepPotModel& model = *model_;
+  const std::vector<md::Species>& types = model.types();
+  const std::size_t lo = chunk_begin_[c];
+  const std::size_t chunk_n = chunk_begin_[c + 1] - lo;
+
+  // Whole centers in ascending order; a block closes before the center that
+  // would take it past kBlockPairs candidates.
+  ch.block_begin.clear();
+  ch.fit_row.clear();
+  std::array<std::uint32_t, md::kNumSpecies> rows{};
+  std::size_t pairs = 0;
+  for (std::size_t li = 0; li < chunk_n; ++li) {
+    const std::size_t n = list.neighbors_of(lo + li).size();
+    if (li == 0 || pairs + n > kBlockPairs) {
+      ch.block_begin.push_back(static_cast<std::uint32_t>(li));
+      ch.fit_row.push_back(rows);
+      pairs = 0;
+    }
+    pairs += n;
+    ++rows[static_cast<std::size_t>(types[lo + li])];
+  }
+  ch.block_begin.push_back(static_cast<std::uint32_t>(chunk_n));
+  ch.fit_row.push_back(rows);
+  const std::size_t num_blocks = ch.block_begin.size() - 1;
+
+  // Each (chunk, net) bucket is sorted by center, so a block's candidates
+  // in it are the run starting at the block's first center.
+  ch.cand_begin.resize(kNets * num_blocks + 1);
+  ch.live_begin.resize(kNets * num_blocks + 1);
+  for (std::size_t net = 0; net < kNets; ++net) {
+    const auto first = cand_.begin() +
+                       static_cast<std::ptrdiff_t>(cand_off_[c * kNets + net]);
+    const auto last = cand_.begin() + static_cast<std::ptrdiff_t>(
+                                          cand_off_[c * kNets + net + 1]);
+    for (std::size_t b = 0; b < num_blocks; ++b) {
+      const std::uint64_t key = std::uint64_t{lo + ch.block_begin[b]} << 32;
+      ch.cand_begin[net * num_blocks + b] = static_cast<std::size_t>(
+          std::lower_bound(first, last, key) - cand_.begin());
+    }
+  }
+  ch.cand_begin[kNets * num_blocks] = cand_off_[(c + 1) * kNets];
+
+  // Size the block workspace for the largest block, so steps until the next
+  // rebuild allocate nothing (live rows never exceed candidate rows).
+  std::size_t max_pair_rows = 0;
+  for (std::size_t net = 0; net < kNets; ++net) {
+    std::size_t net_rows = 0;
+    for (std::size_t b = 0; b < num_blocks; ++b) {
+      const std::size_t range = net * num_blocks + b;
+      net_rows = std::max(net_rows,
+                          ch.cand_begin[range + 1] - ch.cand_begin[range]);
+    }
+    nn::mlp_reserve_batch(model.embedding_net(net), net_rows,
+                          ch.embed_cache[net]);
+    max_pair_rows = std::max(max_pair_rows, net_rows);
+  }
+  std::size_t max_fit_rows = 0;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    for (std::size_t sp = 0; sp < md::kNumSpecies; ++sp) {
+      max_fit_rows = std::max<std::size_t>(
+          max_fit_rows, ch.fit_row[b + 1][sp] - ch.fit_row[b][sp]);
+    }
+  }
+  for (std::size_t sp = 0; sp < md::kNumSpecies; ++sp) {
+    nn::mlp_reserve_batch(model.fitting_net(sp), max_fit_rows, ch.fit_cache);
+  }
+  ch.g_bar.resize(max_pair_rows * m1_);
+  ch.s_bar.resize(max_pair_rows);
+  ch.ones.assign(max_fit_rows, 1.0);
 }
 
 void MdSession::refresh_chunk(std::size_t c, const md::SystemState& state) {
@@ -193,11 +266,12 @@ void MdSession::refresh_chunk(std::size_t c, const md::SystemState& state) {
   const std::vector<md::Vec3>& pos = state.positions;
   const SwitchingFunction& switching = model_->switching();
   const double rcut = cutoff();
+  const std::size_t num_blocks = ch.block_begin.size() - 1;
   std::uint32_t cursor = 0;
-  ch.net_off[0] = 0;
-  for (std::size_t e = 0; e < kNets; ++e) {
-    const std::size_t bucket = c * kNets + e;
-    for (std::size_t k = cand_off_[bucket]; k < cand_off_[bucket + 1]; ++k) {
+  for (std::size_t range = 0; range < kNets * num_blocks; ++range) {
+    ch.live_begin[range] = cursor;
+    for (std::size_t k = ch.cand_begin[range]; k < ch.cand_begin[range + 1];
+         ++k) {
       const std::uint64_t packed = cand_[k];
       const auto i = static_cast<std::uint32_t>(packed >> 32);
       const auto jj = static_cast<std::uint32_t>(packed & 0xffffffffu);
@@ -215,52 +289,50 @@ void MdSession::refresh_chunk(std::size_t c, const md::SystemState& state) {
       ch.uz[cursor] = d[2] / r;
       ++cursor;
     }
-    ch.net_off[e + 1] = cursor;
   }
+  ch.live_begin[kNets * num_blocks] = cursor;
   ch.live_pairs = cursor;
 }
 
-void MdSession::eval_chunk(std::size_t c, const md::SystemState& state) {
-  refresh_chunk(c, state);
+void MdSession::eval_block(std::size_t c, std::size_t blk) {
   Chunk& ch = chunks_[c];
   const DeepPotModel& model = *model_;
   const std::vector<md::Species>& types = model.types();
   const std::size_t lo = chunk_begin_[c];
-  const std::size_t chunk_n = chunk_begin_[c + 1] - lo;
+  const std::size_t num_blocks = ch.block_begin.size() - 1;
   const double nu = model.sel_norm();
   const std::size_t dwidth = m1_ * m2_;
+  const std::size_t atom_begin = ch.block_begin[blk];
+  const std::size_t atom_end = ch.block_begin[blk + 1];
 
-  // Embedding forward (in recompute tiles) + T contraction:
-  // T_i[m][c] = nu * sum_j g_j[m] R_j[c].
-  ch.t.assign(ch.t.size(), 0.0);
+  // Embedding forward, once per net, into the caches the reverse reuses,
+  // plus the T contraction T_i[m][c] = nu * sum_j g_j[m] R_j[c].  A
+  // center's pairs arrive net by net, pair ascending, as in a whole-chunk
+  // net-major sweep.
   for (std::size_t net = 0; net < kNets; ++net) {
-    const std::size_t begin = ch.net_off[net];
-    const std::size_t total = ch.net_off[net + 1] - begin;
-    for (std::size_t tile = 0; tile < total; tile += kTileRows) {
-      const std::size_t rows = std::min(kTileRows, total - tile);
-      const std::size_t base = begin + tile;
-      ch.tile_x.resize(rows);
-      for (std::size_t p = 0; p < rows; ++p) ch.tile_x[p] = ch.s[base + p];
-      nn::mlp_forward_batch(model.embedding_net(net), ch.tile_x, rows,
-                            ch.tile_cache, nn::Curvature::kNone);
-      const std::span<const double> g_all = ch.tile_cache.out();
-      for (std::size_t p = 0; p < rows; ++p) {
-        const std::size_t idx = base + p;
-        const double s = ch.s[idx];
-        const double row4[4] = {s, s * ch.ux[idx], s * ch.uy[idx],
-                                s * ch.uz[idx]};
-        const double* g = g_all.data() + p * m1_;
-        double* tblock = ch.t.data() + (ch.center[idx] - lo) * m1_ * 4;
-        for (std::size_t m = 0; m < m1_; ++m) {
-          const double gm = nu * g[m];
-          for (std::size_t k = 0; k < 4; ++k) tblock[m * 4 + k] += gm * row4[k];
-        }
+    const std::size_t begin = ch.live_begin[net * num_blocks + blk];
+    const std::size_t rows = ch.live_begin[net * num_blocks + blk + 1] - begin;
+    if (rows == 0) continue;
+    nn::mlp_forward_batch(model.embedding_net(net),
+                          std::span<const double>(ch.s.data() + begin, rows),
+                          rows, ch.embed_cache[net], nn::Curvature::kNone);
+    const std::span<const double> g_all = ch.embed_cache[net].out();
+    for (std::size_t p = 0; p < rows; ++p) {
+      const std::size_t idx = begin + p;
+      const double s = ch.s[idx];
+      const double row4[4] = {s, s * ch.ux[idx], s * ch.uy[idx],
+                              s * ch.uz[idx]};
+      const double* g = g_all.data() + p * m1_;
+      double* tblock = ch.t.data() + (ch.center[idx] - lo) * m1_ * 4;
+      for (std::size_t m = 0; m < m1_; ++m) {
+        const double gm = nu * g[m];
+        for (std::size_t k = 0; k < 4; ++k) tblock[m * 4 + k] += gm * row4[k];
       }
     }
   }
 
   // Descriptor D_i[a][b] = sum_c T[a][c] T[b][c] into the fitting rows.
-  for (std::size_t li = 0; li < chunk_n; ++li) {
+  for (std::size_t li = atom_begin; li < atom_end; ++li) {
     const auto sp = static_cast<std::size_t>(types[lo + li]);
     double* dst = ch.fit[sp].x.data() + atom_slot_[c][li] * dwidth;
     const double* tblock = ch.t.data() + li * m1_ * 4;
@@ -275,33 +347,29 @@ void MdSession::eval_chunk(std::size_t c, const md::SystemState& state) {
     }
   }
 
-  // Fitting forward + reverse in tiles; the backward immediately follows the
-  // forward of the same tile so the cache footprint stays tile-bounded.
-  // Energy accumulates species-major, batch-row ascending (fixed order).
-  double energy =
-      static_cast<double>(chunk_n) * model.energy_bias_per_atom();
+  // Fitting forward + reverse over the block's rows of each species.  The
+  // atom energies are kept for the fixed-order sum after the last block.
   for (std::size_t sp = 0; sp < md::kNumSpecies; ++sp) {
-    const std::size_t rows_total = species_off_[c][sp + 1] - species_off_[c][sp];
-    for (std::size_t tile = 0; tile < rows_total; tile += kTileRows) {
-      const std::size_t rows = std::min(kTileRows, rows_total - tile);
-      const std::span<const double> x(ch.fit[sp].x.data() + tile * dwidth,
-                                      rows * dwidth);
-      nn::mlp_forward_batch(model.fitting_net(sp), x, rows, ch.tile_cache,
-                            nn::Curvature::kNone);
-      const std::span<const double> out = ch.tile_cache.out();
-      for (std::size_t row = 0; row < rows; ++row) energy += out[row];
-      ch.tile_ones.assign(rows, 1.0);
-      const std::span<double> x_bar(ch.fit[sp].x_bar.data() + tile * dwidth,
+    const std::size_t row0 = ch.fit_row[blk][sp];
+    const std::size_t rows = ch.fit_row[blk + 1][sp] - row0;
+    if (rows == 0) continue;
+    const std::span<const double> x(ch.fit[sp].x.data() + row0 * dwidth,
                                     rows * dwidth);
-      nn::mlp_backward_batch(model.fitting_net(sp), x, rows, ch.tile_cache,
-                             ch.tile_ones, x_bar, {});
-    }
+    nn::mlp_forward_batch(model.fitting_net(sp), x, rows, ch.fit_cache,
+                          nn::Curvature::kNone);
+    std::copy_n(ch.fit_cache.out().begin(), rows,
+                ch.atom_energy.begin() +
+                    static_cast<std::ptrdiff_t>(species_off_[c][sp] + row0));
+    const std::span<double> x_bar(ch.fit[sp].x_bar.data() + row0 * dwidth,
+                                  rows * dwidth);
+    nn::mlp_backward_batch(model.fitting_net(sp), x, rows, ch.fit_cache,
+                           std::span<const double>(ch.ones.data(), rows),
+                           x_bar, {});
   }
-  ch.energy = energy;
 
   // Descriptor reverse: Tbar[p][c] = sum_b Dbar[p][b] T[b][c]
   //                               + [p < m2] sum_a Dbar[a][p] T[a][c].
-  for (std::size_t li = 0; li < chunk_n; ++li) {
+  for (std::size_t li = atom_begin; li < atom_end; ++li) {
     const auto sp = static_cast<std::size_t>(types[lo + li]);
     const double* dbar = ch.fit[sp].x_bar.data() + atom_slot_[c][li] * dwidth;
     const double* tblock = ch.t.data() + li * m1_ * 4;
@@ -322,67 +390,87 @@ void MdSession::eval_chunk(std::size_t c, const md::SystemState& state) {
     }
   }
 
-  // Embedding reverse (recomputed forward per tile) + force assembly into
-  // this chunk's full-3N adjoint buffer.  Per pair:
+  // Embedding reverse from the kept forward caches, and each pair's
+  // coordinate adjoint:
   //   gbar[m] = nu * sum_c Tbar[m][c] R[c]
   //   Rbar[c] = nu * sum_m Tbar[m][c] g[m]
   //   sbar    = sbar_embed + Rbar[0] + sum_k Rbar[k+1] u[k]
   //   ubar_k  = s Rbar[k+1]
   //   dbar    = (ubar - (ubar.u) u)/r + sbar s'(r) u
   // with dbar flowing +into atom j and -into the center atom.
-  std::fill(ch.coord_bar.begin(), ch.coord_bar.end(), 0.0);
   for (std::size_t net = 0; net < kNets; ++net) {
-    const std::size_t begin = ch.net_off[net];
-    const std::size_t total = ch.net_off[net + 1] - begin;
-    for (std::size_t tile = 0; tile < total; tile += kTileRows) {
-      const std::size_t rows = std::min(kTileRows, total - tile);
-      const std::size_t base = begin + tile;
-      ch.tile_x.resize(rows);
-      for (std::size_t p = 0; p < rows; ++p) ch.tile_x[p] = ch.s[base + p];
-      nn::mlp_forward_batch(model.embedding_net(net), ch.tile_x, rows,
-                            ch.tile_cache, nn::Curvature::kNone);
-      const std::span<const double> g_all = ch.tile_cache.out();
-      ch.tile_out_bar.resize(rows * m1_);
-      for (std::size_t p = 0; p < rows; ++p) {
-        const std::size_t idx = base + p;
-        const double s = ch.s[idx];
-        const double row4[4] = {s, s * ch.ux[idx], s * ch.uy[idx],
-                                s * ch.uz[idx]};
-        const double* tbar = ch.t_bar.data() + (ch.center[idx] - lo) * m1_ * 4;
-        double* gbar = ch.tile_out_bar.data() + p * m1_;
-        for (std::size_t m = 0; m < m1_; ++m) {
-          double acc = 0.0;
-          for (std::size_t k = 0; k < 4; ++k) acc += tbar[m * 4 + k] * row4[k];
-          gbar[m] = nu * acc;
-        }
+    const std::size_t begin = ch.live_begin[net * num_blocks + blk];
+    const std::size_t rows = ch.live_begin[net * num_blocks + blk + 1] - begin;
+    if (rows == 0) continue;
+    for (std::size_t p = 0; p < rows; ++p) {
+      const std::size_t idx = begin + p;
+      const double s = ch.s[idx];
+      const double row4[4] = {s, s * ch.ux[idx], s * ch.uy[idx],
+                              s * ch.uz[idx]};
+      const double* tbar = ch.t_bar.data() + (ch.center[idx] - lo) * m1_ * 4;
+      double* gbar = ch.g_bar.data() + p * m1_;
+      for (std::size_t m = 0; m < m1_; ++m) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < 4; ++k) acc += tbar[m * 4 + k] * row4[k];
+        gbar[m] = nu * acc;
       }
-      ch.tile_x_bar.resize(rows);
-      nn::mlp_backward_batch(model.embedding_net(net), ch.tile_x, rows,
-                             ch.tile_cache, ch.tile_out_bar, ch.tile_x_bar, {});
-      for (std::size_t p = 0; p < rows; ++p) {
-        const std::size_t idx = base + p;
-        const double u[3] = {ch.ux[idx], ch.uy[idx], ch.uz[idx]};
-        const double* tbar = ch.t_bar.data() + (ch.center[idx] - lo) * m1_ * 4;
-        const double* g = g_all.data() + p * m1_;
-        double rbar[4];
-        for (std::size_t k = 0; k < 4; ++k) {
-          double acc = 0.0;
-          for (std::size_t m = 0; m < m1_; ++m) acc += tbar[m * 4 + k] * g[m];
-          rbar[k] = nu * acc;
-        }
-        const double sbar = ch.tile_x_bar[p] + rbar[0] + rbar[1] * u[0] +
-                            rbar[2] * u[1] + rbar[3] * u[2];
-        const double s = ch.s[idx];
-        const double ubar[3] = {s * rbar[1], s * rbar[2], s * rbar[3]};
-        const double ubar_dot_u =
-            ubar[0] * u[0] + ubar[1] * u[1] + ubar[2] * u[2];
-        for (std::size_t k = 0; k < 3; ++k) {
-          const double dbar = (ubar[k] - ubar_dot_u * u[k]) / ch.r[idx] +
-                              sbar * ch.ds_dr[idx] * u[k];
-          ch.coord_bar[3 * ch.j[idx] + k] += dbar;
-          ch.coord_bar[3 * ch.center[idx] + k] -= dbar;
-        }
+    }
+    nn::mlp_backward_batch(
+        model.embedding_net(net),
+        std::span<const double>(ch.s.data() + begin, rows), rows,
+        ch.embed_cache[net],
+        std::span<const double>(ch.g_bar.data(), rows * m1_),
+        std::span<double>(ch.s_bar.data(), rows), {});
+    const std::span<const double> g_all = ch.embed_cache[net].out();
+    for (std::size_t p = 0; p < rows; ++p) {
+      const std::size_t idx = begin + p;
+      const double u[3] = {ch.ux[idx], ch.uy[idx], ch.uz[idx]};
+      const double* tbar = ch.t_bar.data() + (ch.center[idx] - lo) * m1_ * 4;
+      const double* g = g_all.data() + p * m1_;
+      double rbar[4];
+      for (std::size_t k = 0; k < 4; ++k) {
+        double acc = 0.0;
+        for (std::size_t m = 0; m < m1_; ++m) acc += tbar[m * 4 + k] * g[m];
+        rbar[k] = nu * acc;
       }
+      const double sbar = ch.s_bar[p] + rbar[0] + rbar[1] * u[0] +
+                          rbar[2] * u[1] + rbar[3] * u[2];
+      const double s = ch.s[idx];
+      const double ubar[3] = {s * rbar[1], s * rbar[2], s * rbar[3]};
+      const double ubar_dot_u =
+          ubar[0] * u[0] + ubar[1] * u[1] + ubar[2] * u[2];
+      double* pair_bar = ch.pair_bar.data() + 3 * idx;
+      for (std::size_t k = 0; k < 3; ++k) {
+        pair_bar[k] = (ubar[k] - ubar_dot_u * u[k]) / ch.r[idx] +
+                      sbar * ch.ds_dr[idx] * u[k];
+      }
+    }
+  }
+}
+
+void MdSession::eval_chunk(std::size_t c, const md::SystemState& state) {
+  refresh_chunk(c, state);
+  Chunk& ch = chunks_[c];
+  const DeepPotModel& model = *model_;
+  const std::size_t chunk_n = chunk_begin_[c + 1] - chunk_begin_[c];
+
+  ch.t.assign(ch.t.size(), 0.0);
+  for (std::size_t b = 0; b < ch.block_begin.size() - 1; ++b) eval_block(c, b);
+
+  // Energy: species-major, batch row ascending (atom_energy's layout).
+  double energy =
+      static_cast<double>(chunk_n) * model.energy_bias_per_atom();
+  for (const double atom : ch.atom_energy) energy += atom;
+  ch.energy = energy;
+
+  // Force assembly into this chunk's full-3N adjoint buffer, in (net, pair)
+  // order: the live arrays' order.
+  std::fill(ch.coord_bar.begin(), ch.coord_bar.end(), 0.0);
+  for (std::size_t idx = 0; idx < ch.live_pairs; ++idx) {
+    const double* pair_bar = ch.pair_bar.data() + 3 * idx;
+    for (std::size_t k = 0; k < 3; ++k) {
+      ch.coord_bar[3 * ch.j[idx] + k] += pair_bar[k];
+      ch.coord_bar[3 * ch.center[idx] + k] -= pair_bar[k];
     }
   }
 }

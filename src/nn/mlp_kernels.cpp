@@ -24,7 +24,26 @@ void size_layer_buffers(std::vector<std::vector<double>>& buffers,
   }
 }
 
+void reserve_layer_buffers(std::vector<std::vector<double>>& buffers,
+                           const std::vector<LayerSpec>& layers,
+                           std::size_t batch) {
+  buffers.resize(layers.size());
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    buffers[l].reserve(batch * layers[l].out);
+  }
+}
+
 }  // namespace
+
+void mlp_reserve_batch(const Mlp& mlp, std::size_t batch,
+                       MlpBatchCache& cache) {
+  const auto& layers = mlp.layers();
+  reserve_layer_buffers(cache.y, layers, batch);
+  reserve_layer_buffers(cache.sp, layers, batch);
+  reserve_layer_buffers(cache.zbar, layers, batch);
+  cache.bar_a.reserve(batch * max_width(mlp));
+  cache.bar_b.reserve(batch * max_width(mlp));
+}
 
 void mlp_forward_batch(const Mlp& mlp, std::span<const double> x,
                        std::size_t batch, MlpBatchCache& cache,

@@ -62,6 +62,11 @@ struct MlpBatchCache {
 /// mlp_vjp_tangent_batch; skip for inference / first-order-only work).
 enum class Curvature : bool { kNone = false, kCache = true };
 
+/// Reserves `cache` for first-order passes (mlp_forward_batch without
+/// curvature, mlp_backward_batch) over up to `batch` rows of `mlp`, so such
+/// passes then allocate nothing.
+void mlp_reserve_batch(const Mlp& mlp, std::size_t batch, MlpBatchCache& cache);
+
 /// Batched forward: x is batch rows of mlp.input_width() values.  Fills
 /// cache.y and cache.sp (and cache.spp under Curvature::kCache).
 void mlp_forward_batch(const Mlp& mlp, std::span<const double> x,

@@ -9,13 +9,23 @@
 // four interleaved lanes, so its rounding differs from the scalar fallback
 // (the SIMD parity tests pin the tolerance).  The accumulate kernels
 // (backward-input, param-grad, param-grad-tangent) keep the scalar loops'
-// per-element accumulation order -- outer sample loop, inner contiguous i --
-// and differ only by FMA contraction.
+// per-element accumulation order -- outer sample loop, o ascending -- and
+// differ from scalar only by FMA contraction.
+//
+// backward-input holds one sample's ybar in registers: up to 8 ymm
+// accumulators cover 32 columns across the whole o loop and are stored once,
+// instead of a load/add/store of the ybar row per output.  Each element is
+// still the o-ascending chain fma(z_o, w[o,i], acc) from +0 with zero z_o
+// skipped, and the in % 4 tail is the same chain in explicit scalar std::fma,
+// so the result is bitwise that of the row-accumulating loop it replaced
+// (tests/nn/dense_backward_input_test.cpp keeps that loop as its oracle).
 #include "nn/simd.hpp"
 
 #if defined(DPHO_SIMD_AVX2)
 
 #include <immintrin.h>
+
+#include <cmath>
 
 namespace dpho::nn::simd {
 
@@ -87,28 +97,61 @@ void avx2_dense_forward(const double* w, const double* bias, const double* x,
   }
 }
 
+/// Columns [col, col + 4 kVecs) of one sample's ybar, accumulated in
+/// registers over the whole o loop and stored once.  kVecs is a template
+/// argument because a runtime-bounded accumulator array spills to the stack.
+template <std::size_t kVecs>
+inline void backward_input_columns(const double* w, const double* zrow,
+                                   std::size_t in, std::size_t out,
+                                   std::size_t col, double* yrow) {
+  __m256d acc[kVecs];
+  for (std::size_t v = 0; v < kVecs; ++v) acc[v] = _mm256_setzero_pd();
+  for (std::size_t o = 0; o < out; ++o) {
+    const double z = zrow[o];
+    if (z == 0.0) continue;
+    const __m256d zv = _mm256_set1_pd(z);
+    const double* wrow = w + o * in + col;
+    for (std::size_t v = 0; v < kVecs; ++v) {
+      acc[v] = _mm256_fmadd_pd(zv, _mm256_loadu_pd(wrow + 4 * v), acc[v]);
+    }
+  }
+  for (std::size_t v = 0; v < kVecs; ++v) {
+    _mm256_storeu_pd(yrow + col + 4 * v, acc[v]);
+  }
+}
+
 void avx2_dense_backward_input(const double* w, const double* zbar,
                                std::size_t batch, std::size_t in,
                                std::size_t out, double* ybar) {
+  constexpr std::size_t kBlockColumns = 32;  // 8 ymm accumulators
+  const std::size_t vec_end = in - in % 4;
   for (std::size_t s = 0; s < batch; ++s) {
     const double* zrow = zbar + s * out;
     double* yrow = ybar + s * in;
-    std::size_t i = 0;
-    const __m256d zero = _mm256_setzero_pd();
-    for (; i + 4 <= in; i += 4) _mm256_storeu_pd(yrow + i, zero);
-    for (; i < in; ++i) yrow[i] = 0.0;
-    for (std::size_t o = 0; o < out; ++o) {
-      const double z = zrow[o];
-      if (z == 0.0) continue;
-      const double* wrow = w + o * in;
-      const __m256d zv = _mm256_set1_pd(z);
-      i = 0;
-      for (; i + 4 <= in; i += 4) {
-        const __m256d yv = _mm256_fmadd_pd(zv, _mm256_loadu_pd(wrow + i),
-                                           _mm256_loadu_pd(yrow + i));
-        _mm256_storeu_pd(yrow + i, yv);
+    std::size_t col = 0;
+    for (; col + kBlockColumns <= vec_end; col += kBlockColumns) {
+      backward_input_columns<8>(w, zrow, in, out, col, yrow);
+    }
+    switch ((vec_end - col) / 4) {
+      case 1: backward_input_columns<1>(w, zrow, in, out, col, yrow); break;
+      case 2: backward_input_columns<2>(w, zrow, in, out, col, yrow); break;
+      case 3: backward_input_columns<3>(w, zrow, in, out, col, yrow); break;
+      case 4: backward_input_columns<4>(w, zrow, in, out, col, yrow); break;
+      case 5: backward_input_columns<5>(w, zrow, in, out, col, yrow); break;
+      case 6: backward_input_columns<6>(w, zrow, in, out, col, yrow); break;
+      case 7: backward_input_columns<7>(w, zrow, in, out, col, yrow); break;
+      default: break;
+    }
+    // The in % 4 tail: the same chain in scalar FMAs, spelled out so the
+    // bits do not depend on whether the compiler contracts a * b + c.
+    for (std::size_t i = vec_end; i < in; ++i) {
+      double acc = 0.0;
+      for (std::size_t o = 0; o < out; ++o) {
+        const double z = zrow[o];
+        if (z == 0.0) continue;
+        acc = std::fma(z, w[o * in + i], acc);
       }
-      for (; i < in; ++i) yrow[i] += z * wrow[i];
+      yrow[i] = acc;
     }
   }
 }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "dp/fast_graph.hpp"
@@ -12,6 +15,7 @@
 #include "hpc/thread_pool.hpp"
 #include "md/integrator.hpp"
 #include "md/simulation.hpp"
+#include "nn/simd.hpp"
 #include "support/alloc_hook.hpp"
 #include "util/error.hpp"
 
@@ -330,6 +334,165 @@ TEST_F(NnpMdSuite, AtomCountMismatchThrows) {
       md::SystemSpec::scaled_system(2).create_initial_state(100.0, rng);
   std::vector<md::Vec3> forces(wrong.size());
   EXPECT_THROW(session->compute(wrong, forces), util::ValueError);
+}
+
+// Sessions whose chunks span several blocks: 640 atoms (scaled_system(64)) at
+// 498 K under an untrained fixed-seed model of the md_nnp benchmark's shape
+// (rcut 6 A, embedding {8,16}, axis 4, fitting {24,24}) in 128-atom chunks,
+// so each chunk holds several thousand candidate pairs, i.e. several blocks
+// of at most MdSession::kBlockPairs.  The 10-atom suites above fit in one
+// block.
+class MultiBlockSession : public ::testing::Test {
+ protected:
+  static md::SessionOptions options(hpc::ThreadPool* pool = nullptr) {
+    md::SessionOptions out;
+    out.chunk_atoms = 128;
+    out.pool = pool;
+    return out;
+  }
+
+  static void SetUpTestSuite() {
+    util::Rng rng(7);
+    start_ = new md::SystemState(
+        md::SystemSpec::scaled_system(64).create_initial_state(498.0, rng));
+    TrainInput shape;
+    shape.descriptor.rcut = 6.0;
+    shape.descriptor.rcut_smth = 3.0;
+    shape.descriptor.neuron = {8, 16};
+    shape.descriptor.axis_neuron = 4;
+    shape.descriptor.sel = 128;
+    shape.fitting.neuron = {24, 24};
+    model_ = new std::shared_ptr<const DeepPotModel>(
+        std::make_shared<const DeepPotModel>(shape, start_->types, 0.0,
+                                             0x5EED));
+  }
+  static void TearDownTestSuite() {
+    delete model_;
+    delete start_;
+    model_ = nullptr;
+    start_ = nullptr;
+  }
+
+  struct Trajectory {
+    md::SystemState state;
+    std::vector<md::Vec3> forces;
+    std::vector<double> energies;  // potential energy at every step
+  };
+
+  static Trajectory run_trajectory(const md::SessionOptions& options,
+                                   std::size_t steps) {
+    Trajectory out;
+    out.state = *start_;
+    MdSession session(*model_, options);
+    const md::VelocityVerlet integrator(0.5);
+    out.forces.assign(out.state.size(), md::Vec3{0.0, 0.0, 0.0});
+    out.energies.push_back(session.compute(out.state, out.forces));
+    for (std::size_t step = 0; step < steps; ++step) {
+      out.energies.push_back(integrator.step(out.state, session, out.forces));
+    }
+    return out;
+  }
+
+  /// FNV-1a over the bytes of the final positions and forces and of every
+  /// step's energy.  The model's energy bias is 0, so a reordered energy sum
+  /// shows in the low bits.
+  static std::uint64_t digest(const Trajectory& run) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](const void* data, std::size_t size) {
+      const auto* bytes = static_cast<const unsigned char*>(data);
+      for (std::size_t k = 0; k < size; ++k) {
+        h = (h ^ bytes[k]) * 0x100000001b3ULL;
+      }
+    };
+    mix(run.state.positions.data(),
+        run.state.positions.size() * sizeof(md::Vec3));
+    mix(run.forces.data(), run.forces.size() * sizeof(md::Vec3));
+    mix(run.energies.data(), run.energies.size() * sizeof(double));
+    return h;
+  }
+
+  static md::SystemState* start_;
+  static std::shared_ptr<const DeepPotModel>* model_;
+};
+
+md::SystemState* MultiBlockSession::start_ = nullptr;
+std::shared_ptr<const DeepPotModel>* MultiBlockSession::model_ = nullptr;
+
+/// Restores the SIMD dispatch level a test found.
+class SimdLevelGuard {
+ public:
+  SimdLevelGuard() : was_(nn::simd::enabled()) {}
+  ~SimdLevelGuard() { nn::simd::set_enabled(was_); }
+  SimdLevelGuard(const SimdLevelGuard&) = delete;
+  SimdLevelGuard& operator=(const SimdLevelGuard&) = delete;
+
+ private:
+  bool was_;
+};
+
+TEST_F(MultiBlockSession, EveryChunkSpansSeveralBlocks) {
+  MdSession session(*model_, options());
+  std::vector<md::Vec3> forces(start_->size());
+  session.compute(*start_, forces);
+  ASSERT_EQ(session.num_chunks(), 5u);
+  for (std::size_t c = 0; c < session.num_chunks(); ++c) {
+    EXPECT_GE(session.num_blocks(c), 3u) << "chunk " << c;
+  }
+}
+
+TEST_F(MultiBlockSession, TwentyStepDigestMatchesGoldenPerSimdLevel) {
+  // Recorded with the chunk kernel that ran two net-major embedding sweeps
+  // per step, before the block kernel replaced it: the rewrite changes no
+  // bit.  The AVX2 forward kernel sums dot products in a different order
+  // from scalar, hence one digest per dispatch level.
+  const SimdLevelGuard guard;
+  for (const bool vector : {true, false}) {
+    if (vector && !nn::simd::available()) continue;
+    nn::simd::set_enabled(vector);
+    const std::string level = nn::simd::level_name();
+    const std::uint64_t golden =
+        level == "avx2-fma" ? 0x1f6a73b7230428e5ULL : 0x1b0b7a0009e3cf71ULL;
+    const std::uint64_t actual = digest(run_trajectory(options(), 20));
+    EXPECT_EQ(actual, golden) << level << " digest 0x" << std::hex << actual;
+  }
+}
+
+TEST_F(MultiBlockSession, PoolSizeParityBitwise) {
+  const Trajectory serial = run_trajectory(options(), 20);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    hpc::ThreadPool pool(threads);
+    const Trajectory run = run_trajectory(options(&pool), 20);
+    EXPECT_TRUE(bitwise_equal(run.state.positions, serial.state.positions))
+        << threads << " threads";
+    EXPECT_TRUE(bitwise_equal(run.forces, serial.forces))
+        << threads << " threads";
+    EXPECT_EQ(std::memcmp(run.energies.data(), serial.energies.data(),
+                          serial.energies.size() * sizeof(double)),
+              0)
+        << threads << " threads";
+  }
+}
+
+TEST_F(MultiBlockSession, SteadyStateStepsAllocateNothing) {
+  // Unlike the 10-atom model, this one has a deeper fitting net (3 layers)
+  // than embedding net (2): a cache shared by both re-created the fitting
+  // net's last-layer buffers on every step (600 allocations here).
+  md::SystemState state = *start_;
+  hpc::ThreadPool pool(2);
+  MdSession session(*model_, options(&pool));
+  std::vector<md::Vec3> forces(state.size());
+  for (int warm = 0; warm < 3; ++warm) {
+    session.compute(state, forces);
+    for (auto& r : state.positions) r[0] += 1e-5;
+  }
+  const std::size_t rebuilds = session.neighbor_rebuilds();
+  testsupport::reset_alloc_count();
+  for (int step = 0; step < 20; ++step) {
+    for (auto& r : state.positions) r[0] += 1e-5;
+    session.compute(state, forces);
+  }
+  EXPECT_EQ(testsupport::alloc_count(), 0u);
+  EXPECT_EQ(session.neighbor_rebuilds(), rebuilds);
 }
 
 }  // namespace
